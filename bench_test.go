@@ -512,11 +512,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 // decode, symbol maps, stub synthesis) runs once into a vm.Snapshot and
 // every experiment restores from it in O(writable bytes). The ratio to
 // BenchmarkSweepParallel is the per-experiment-setup share of campaign
-// cost that snapshotting eliminates (BENCH_sweep.json). Memoization is
-// pinned off: this is the plain-restore reference the BenchmarkSweepMemo
-// A/B compares against (and on this short-prefix 8-experiment matrix
-// the memo's step-wise prefix runs cost more than 2-member groups
-// amortise).
+// cost that snapshotting eliminates (BENCH_sweep.json). It runs the
+// snapshot executor's defaults, prefix memoization included.
 func BenchmarkSweepSnapshot(b *testing.B) {
 	cfg, set := sweepBenchTarget(b)
 	workers := runtime.GOMAXPROCS(0)
@@ -524,7 +521,7 @@ func BenchmarkSweepSnapshot(b *testing.B) {
 	var entries int
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: true, NoMemo: true})
+			core.SweepOptions{Workers: workers, Snapshot: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -622,8 +619,8 @@ func memoBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 // exhaustive matrix: memo is the snapshot executor with the prefix
 // cache (the default), nomemo the same executor with -memo=false.
 // Reports are byte-identical (scripts/memocheck.sh); the ratio is the
-// shared-prefix cost the memo cache eliminates, net of its step-wise
-// prefix runs. Recorded in BENCH_sweep.json.
+// shared-prefix cost the memo cache eliminates, net of its own prefix
+// runs. Recorded in BENCH_sweep.json.
 func BenchmarkSweepMemo(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

@@ -141,8 +141,10 @@
 // -check`). Experiments are grouped by site — in an exhaustive errno
 // sweep every errno variant of one (function, call) cell lands in the
 // same group — and each group's prefix runs once: vm.System.RunBreak
-// single-steps the restored template to just before the N-th arrival
-// at the function's stub entry, freezing registers, CoW page tables,
+// runs the restored template through the ordinary scheduler loop to
+// just before the N-th arrival at the function's stub entry — at the
+// block engine's rate, single-stepping only the small interceptor stub
+// image that holds the breakpoint — freezing registers, CoW page tables,
 // kernel FS/FD/pipe state, cycle counters and the mid-round scheduler
 // position as a mid-execution vm.Snapshot, paired with a
 // controller.Checkpoint of evaluator call counts and the injection-log

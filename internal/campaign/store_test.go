@@ -257,6 +257,11 @@ func TestSweepStoreResumeByteIdentical(t *testing.T) {
 				t.Errorf("snapshot=%v workers=%d: resumed report differs:\n--- fresh ---\n%s--- resumed ---\n%s",
 					snapshot, workers, want, got)
 			}
+			// The early stop may halt the dispatcher before every
+			// experiment was handed out, and then this resume appends
+			// the rest: the next reopen must recover what the store
+			// holds now.
+			recorded = len(s2.Records())
 			if err := s2.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,10 @@ import (
 // runs the prefix once per group to just before the site
 // (vm.System.RunBreak), freezes guest + controller state as a
 // mid-execution vm.Snapshot plus controller.Checkpoint, and restores
-// every group member from the pair. Determinism makes this exact:
+// every group member from the pair. The prefix runs on the configured
+// engine through the ordinary scheduler loop: under the block engine
+// only the stub image holding the site is single-stepped, so a prefix
+// costs about what the same stretch of an unmemoized run does. Determinism makes this exact:
 // same-site plans evaluate calls 1..N-1 identically (same per-call
 // cycle charges, no injections, no random draws), so the restored runs
 // are bit-identical to unbroken ones and the rendered report matches

@@ -10,6 +10,8 @@ package vm
 import (
 	"fmt"
 	"testing"
+
+	"lfi/internal/isa"
 )
 
 // breakLibSrc is the intercept-shaped library: f's entry is the
@@ -356,6 +358,342 @@ func TestRunBreakMultiProcess(t *testing.T) {
 					compareProcs(t, i, ref.procs[i], r.procs[i])
 				}
 			})
+		}
+	}
+}
+
+// compareSystems asserts identical full machine state: total cycles,
+// every process, and the scheduler's recorded mid-round position.
+func compareSystems(t testing.TB, label string, a, b *System) {
+	t.Helper()
+	if a.TotalCycles != b.TotalCycles {
+		t.Fatalf("%s: TotalCycles %d != %d", label, a.TotalCycles, b.TotalCycles)
+	}
+	if len(a.procs) != len(b.procs) {
+		t.Fatalf("%s: proc count %d != %d", label, len(a.procs), len(b.procs))
+	}
+	for i := range a.procs {
+		compareProcs(t, i, a.procs[i], b.procs[i])
+	}
+	if (a.resume == nil) != (b.resume == nil) || a.resume != nil && *a.resume != *b.resume {
+		t.Fatalf("%s: resume position %+v != %+v", label, a.resume, b.resume)
+	}
+}
+
+// restored returns a fresh system restored from a snapshot of sys.
+func restored(t testing.TB, sys *System) *System {
+	t.Helper()
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	return snap.Restore()
+}
+
+func pipeSystem(t testing.TB, opts Options) *System {
+	t.Helper()
+	sys := NewSystem(opts)
+	sys.Register(assembleSrc(t, breakKidSrc))
+	sys.Register(assembleSrc(t, breakParentSrc))
+	if _, err := sys.Spawn("parent", SpawnConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestRunBreakChained: a RunBreak on a system restored from a break
+// snapshot must finish the interrupted round before starting fresh
+// ones, so a second break followed by Run(budget) lands every verdict
+// and every cycle exactly where an unbroken Run(budget) does.
+func TestRunBreakChained(t *testing.T) {
+	type guest struct {
+		name          string
+		mk            func(testing.TB, Options) *System
+		image, symbol string
+		first, second int32
+	}
+	guests := []guest{
+		{"single", breakSystem, "libbrk.so", "f", 2, 3},
+		// The parent calls helper once: the second break re-hits the
+		// parked arrival (1) or runs the guest to completion (2).
+		{"pipe-rehit", pipeSystem, "parent", "helper", 1, 1},
+		{"pipe-finish", pipeSystem, "parent", "helper", 1, 2},
+	}
+	for _, g := range guests {
+		for _, engine := range []string{EngineStep, EngineBlock} {
+			for _, slice := range []int{1, 3, 7, 4096} {
+				t.Run(fmt.Sprintf("%s/%s/slice%d", g.name, engine, slice), func(t *testing.T) {
+					opts := Options{Engine: engine, TimeSlice: slice, StackSize: 1 << 13}
+					full := g.mk(t, opts)
+					if err := full.Run(0); err != nil {
+						t.Fatal(err)
+					}
+					for budget := uint64(0); budget <= full.TotalCycles+2; budget++ {
+						ref := g.mk(t, opts)
+						refErr := ref.Run(budget)
+
+						sys := g.mk(t, opts)
+						va := breakTargetVA(t, sys, g.image, g.symbol)
+						if hit, err := sys.RunBreak(va, g.first, budget); !hit {
+							if err != refErr {
+								t.Fatalf("budget %d: first break (%v), plain run (%v)", budget, err, refErr)
+							}
+							compareSystems(t, fmt.Sprintf("budget %d first break", budget), ref, sys)
+							continue
+						}
+						r := restored(t, sys)
+						if hit, err := r.RunBreak(va, g.second, budget); !hit {
+							if err != refErr {
+								t.Fatalf("budget %d: second break (%v), plain run (%v)", budget, err, refErr)
+							}
+							compareSystems(t, fmt.Sprintf("budget %d second break", budget), ref, r)
+							continue
+						}
+						if err := r.Run(budget); err != refErr {
+							t.Fatalf("budget %d: chained run (%v), plain run (%v)", budget, err, refErr)
+						}
+						compareSystems(t, fmt.Sprintf("budget %d chained", budget), ref, r)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunBreakChainedCounting: a second RunBreak counts arrivals from
+// its own start, the parked arrival first — breaking at call 2 and
+// then at 3 stops exactly where one break at call 4 does.
+func TestRunBreakChainedCounting(t *testing.T) {
+	for _, engine := range []string{EngineStep, EngineBlock} {
+		for _, slice := range []int{1, 3, 7, 4096} {
+			opts := Options{Engine: engine, TimeSlice: slice, StackSize: 1 << 13}
+			one := breakSystem(t, opts)
+			va := breakTargetVA(t, one, "libbrk.so", "f")
+			if hit, err := one.RunBreak(va, 4, 0); !hit || err != nil {
+				t.Fatalf("%s/slice%d: RunBreak(4) = (%v, %v)", engine, slice, hit, err)
+			}
+			two := breakSystem(t, opts)
+			if hit, err := two.RunBreak(va, 2, 0); !hit || err != nil {
+				t.Fatalf("%s/slice%d: RunBreak(2) = (%v, %v)", engine, slice, hit, err)
+			}
+			two = restored(t, two)
+			if hit, err := two.RunBreak(va, 3, 0); !hit || err != nil {
+				t.Fatalf("%s/slice%d: chained RunBreak(3) = (%v, %v)", engine, slice, hit, err)
+			}
+			compareSystems(t, fmt.Sprintf("%s/slice%d", engine, slice), one, two)
+		}
+	}
+}
+
+// Two processes sharing libbrk.so (so f has one VA in both): the
+// parent calls f once, spawns the kid and waits; the kid calls f
+// twice; the parent calls f again after the kid exits.
+const twinKidSrc = `
+.exe twinkid
+.needs libbrk.so
+.extern f
+.global main
+.func main
+  call f
+  call f
+  ret
+`
+
+const twinParentSrc = `
+.exe twin
+.needs libbrk.so
+.extern f
+.global main
+.datab prog "twinkid"
+.data st 4
+.func main
+  call f
+  mov r0, 8
+  lea r1, prog
+  mov r2, 0
+  mov r3, 1
+  syscall
+  mov r4, r0
+  mov r0, 9
+  mov r1, r4
+  lea r2, st
+  syscall
+  call f
+  ret
+`
+
+// TestRunBreakPerProcessArrivals: arrivals count per process, like the
+// controller's per-PID trigger evaluators. RunBreak(f, 2) stops in the
+// kid at its own second call — not at the kid's first call, which is
+// the second arrival system-wide — and RunBreak(f, 3) is never reached
+// because no process calls f three times.
+func TestRunBreakPerProcessArrivals(t *testing.T) {
+	for _, engine := range []string{EngineStep, EngineBlock} {
+		for _, slice := range []int{1, 3, 4096} {
+			t.Run(fmt.Sprintf("%s/slice%d", engine, slice), func(t *testing.T) {
+				mk := func() *System {
+					sys := NewSystem(Options{Engine: engine, TimeSlice: slice, StackSize: 1 << 13})
+					sys.Register(assembleSrc(t, breakLibSrc))
+					sys.Register(assembleSrc(t, twinKidSrc))
+					sys.Register(assembleSrc(t, twinParentSrc))
+					if _, err := sys.Spawn("twin", SpawnConfig{}); err != nil {
+						t.Fatal(err)
+					}
+					return sys
+				}
+				ref := mk()
+				if err := ref.Run(0); err != nil {
+					t.Fatal(err)
+				}
+
+				sys := mk()
+				va := breakTargetVA(t, sys, "libbrk.so", "f")
+				gva := breakTargetVA(t, sys, "libbrk.so", "gcount")
+				hit, err := sys.RunBreak(va, 2, 0)
+				if !hit || err != nil {
+					t.Fatalf("RunBreak(2) = (%v, %v), want hit", hit, err)
+				}
+				if len(sys.procs) != 2 {
+					t.Fatalf("%d processes at the break, want 2", len(sys.procs))
+				}
+				kid := sys.procs[1]
+				if kid.PC != va || sys.resume.procIdx != 1 {
+					t.Fatalf("stopped in proc %d (kid pc=%#x), want the kid at %#x", sys.resume.procIdx, kid.PC, va)
+				}
+				for i, want := range []int32{1, 1} {
+					if g, _ := sys.procs[i].ReadWord(gva); g != want {
+						t.Errorf("proc %d gcount at break = %d, want %d", i, g, want)
+					}
+				}
+				r := restored(t, sys)
+				if err := r.Run(0); err != nil {
+					t.Fatal(err)
+				}
+				compareSystems(t, "restored after break", ref, r)
+
+				sys = mk()
+				if hit, err := sys.RunBreak(va, 3, 0); hit || err != nil {
+					t.Fatalf("RunBreak(3) = (%v, %v), want no hit", hit, err)
+				}
+				compareSystems(t, "unreached break", ref, sys)
+			})
+		}
+	}
+}
+
+// The break differential guest: g and sum live in the library, bump
+// and main in the executable, so breakpoints land in either image and
+// the block engine dispatches superblocks in the other.
+const diffLibSrc = `
+.lib libdiff.so
+.global g
+.global sum
+.dataw gacc 0
+.func g
+  lea r1, gacc
+  load r2, [r1+0]
+  add r2, r0
+  store [r1+0], r2
+  mov r0, r2
+  ret
+.func sum
+  mov r2, 0
+.top:
+  add r2, r0
+  sub r0, 1
+  cmp r0, 0
+  jg .top
+  mov r0, r2
+  ret
+`
+
+const diffExeSrc = `
+.exe differ
+.needs libdiff.so
+.extern g
+.extern sum
+.global main
+.global bump
+.func bump
+  add r4, 1
+  ret
+.func main
+  mov r5, 0
+.loop:
+  mov r0, r5
+  call g
+  call bump
+  mov r0, 4
+  call sum
+  add r5, 1
+  cmp r5, 6
+  jl .loop
+  mov r0, r4
+  ret
+`
+
+// TestRunBreakEngineDifferential: RunBreak stops at identical full
+// machine state under both engines — registers, memory, call stacks,
+// cycles and the recorded scheduler position — for breakpoints reached
+// by a cross-image call, a local call, a chained backward branch to a
+// loop head (in either image) and straight-line fall-through to a
+// non-leader, at every slice width; and both continue identically.
+func TestRunBreakEngineDifferential(t *testing.T) {
+	targets := []struct {
+		name          string
+		image, symbol string
+		off           uint32 // instructions past the symbol
+		calls         []int32
+	}{
+		{"cross-image-call", "libdiff.so", "g", 0, []int32{1, 3, 6, 7}},
+		{"local-call", "differ", "bump", 0, []int32{1, 4, 6, 7}},
+		{"lib-loop-head", "libdiff.so", "sum", 1, []int32{1, 2, 5, 24, 25}},
+		{"exe-loop-head", "differ", "main", 1, []int32{1, 2, 6, 7}},
+		{"fall-through", "libdiff.so", "g", 1, []int32{1, 2, 6, 7}},
+	}
+	mk := func(t *testing.T, engine string, slice int) *System {
+		sys := NewSystem(Options{Engine: engine, TimeSlice: slice, StackSize: 1 << 13})
+		sys.Register(assembleSrc(t, diffLibSrc))
+		sys.Register(assembleSrc(t, diffExeSrc))
+		if _, err := sys.Spawn("differ", SpawnConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	for _, tg := range targets {
+		for _, slice := range []int{1, 3, 7, 4096} {
+			for _, call := range tg.calls {
+				t.Run(fmt.Sprintf("%s/slice%d/call%d", tg.name, slice, call), func(t *testing.T) {
+					ref := mk(t, EngineStep, slice)
+					if err := ref.Run(0); err != nil {
+						t.Fatal(err)
+					}
+					step, block := mk(t, EngineStep, slice), mk(t, EngineBlock, slice)
+					va := breakTargetVA(t, step, tg.image, tg.symbol) + tg.off*isa.Size
+					hitS, errS := step.RunBreak(va, call, 0)
+					hitB, errB := block.RunBreak(va, call, 0)
+					if hitS != hitB || errS != errB {
+						t.Fatalf("step (%v, %v) != block (%v, %v)", hitS, errS, hitB, errB)
+					}
+					// The last call of each list lies past the guest's
+					// final arrival; every other one must hit.
+					if wantHit := call != tg.calls[len(tg.calls)-1]; hitS != wantHit {
+						t.Fatalf("hit = %v, want %v", hitS, wantHit)
+					}
+					if hitS && step.procs[0].PC != va {
+						t.Fatalf("stopped at pc=%#x, want %#x", step.procs[0].PC, va)
+					}
+					compareSystems(t, "at break", step, block)
+					if err := step.Run(0); err != nil {
+						t.Fatal(err)
+					}
+					if err := block.Run(0); err != nil {
+						t.Fatal(err)
+					}
+					compareSystems(t, "continued (step)", ref, step)
+					compareSystems(t, "continued (block)", ref, block)
+				})
+			}
 		}
 	}
 }

@@ -33,6 +33,15 @@
 // ErrDeadlock detection decision-for-decision identical to EngineStep;
 // the lockstep differential test (exec_test.go) enforces the contract
 // instruction-slice by instruction-slice.
+//
+// Breakpoints (System.RunBreak) ride the same dispatch. A dispatch only
+// chains and falls through within the image it entered, and every
+// control transfer out of that image returns to runSlice, so while the
+// PC is outside the image that contains a breakpoint no instruction a
+// dispatch executes can be the breakpoint: runSlice dispatches whole
+// superblocks there and single-steps only inside the breakpoint's
+// image. For the memoized sweep's prefix that image is the interceptor
+// stub library, a few instructions per stub.
 package vm
 
 import (
@@ -186,23 +195,6 @@ func (p *Proc) stepOnce() (int, bool) {
 		return 1, true
 	}
 	return 0, false
-}
-
-// runSliceBlocks executes up to n instructions by dispatching whole
-// superblock runs; returns how many ran. Runs never cross the slice
-// boundary: a block longer than the slice remainder is split and the
-// process resumes mid-block next slice (ends[] is indexed per
-// instruction, so any split point is a valid entry).
-func (p *Proc) runSliceBlocks(n int) int {
-	ran := 0
-	for ran < n && !p.Exited {
-		m, cont := p.execBlock(n - ran)
-		ran += m
-		if !cont {
-			break // blocked in a syscall: yield the slice
-		}
-	}
-	return ran
 }
 
 // execBlock executes up to max instructions by dispatching superblock

@@ -67,7 +67,7 @@ func schedRound(s *System) (done bool) {
 			continue
 		}
 		alive++
-		if p.runSlice(s.opts.TimeSlice) > 0 {
+		if ran, _ := p.runSlice(s.opts.TimeSlice, nil); ran > 0 {
 			progress = true
 		}
 	}

@@ -878,7 +878,8 @@ var ErrIdle = errors.New("vm: all processes idle")
 // the cycle budget is exhausted (budget 0 = unlimited, measured against
 // the system's absolute TotalCycles), or a deadlock is detected.
 func (s *System) Run(budget uint64) error {
-	return s.schedule(nil, 0, budget, ErrDeadlock)
+	_, err := s.schedule(nil, nil, 0, budget, ErrDeadlock)
+	return err
 }
 
 // RunUntil schedules processes until cond returns true (checked between
@@ -887,53 +888,105 @@ func (s *System) Run(budget uint64) error {
 // or the budget is exhausted (ErrBudget; 0 = unlimited, measured from
 // the call's starting TotalCycles).
 func (s *System) RunUntil(cond func() bool, budget uint64) error {
-	return s.schedule(cond, s.TotalCycles, budget, ErrIdle)
+	_, err := s.schedule(cond, nil, s.TotalCycles, budget, ErrIdle)
+	return err
 }
 
-// schedule is the one round-robin scheduler loop behind Run and RunUntil
-// (Run is RunUntil(nil, budget) with an absolute budget origin and
-// ErrDeadlock as its no-progress verdict: a wedged Run can never make
-// progress again, while a wedged RunUntil is merely idle until the
-// workload driver feeds more input). Budget exhaustion is checked after
-// every time slice against s.TotalCycles - start.
-func (s *System) schedule(cond func() bool, start, budget uint64, stall error) error {
-	if err, done := s.resumeRound(start, budget, stall); done {
-		return err
+// RunBreak runs like Run(budget) but stops the whole system just before
+// the first process's target-th arrival at va. Arrivals are counted per
+// process, from this call on (a process already parked on va counts
+// that arrival first): the k-th call of a function means the k-th call
+// by one process, as the controller's per-PID trigger evaluators count
+// them. On a hit it returns (true, nil) with the system frozen
+// before the instruction at va executes and the scheduler's mid-round
+// position recorded, so Snapshot/Restore/Run (or another RunBreak)
+// continues with slice boundaries, budget checks and interleavings
+// identical to an unbroken Run — the memoized-sweep prefix contract.
+// When every process exits (nil), the system deadlocks (ErrDeadlock) or
+// the budget runs out (ErrBudget) before the arrival, it returns
+// (false, err) with cycle accounting identical to Run's.
+//
+// The instruction at va must not be able to block (true for interceptor
+// stub prologues, whose first instruction is a lea). The stop is the
+// same on both engines: EngineStep checks before every instruction;
+// EngineBlock dispatches whole superblocks outside the image containing
+// va and single-steps only inside it (see runSlice).
+func (s *System) RunBreak(va uint32, target int32, budget uint64) (bool, error) {
+	if target <= 0 {
+		return false, fmt.Errorf("vm: RunBreak target %d not positive", target)
+	}
+	return s.schedule(nil, &breakpoint{va: va, target: target}, 0, budget, ErrDeadlock)
+}
+
+// schedule is the one round-robin scheduler loop behind Run, RunUntil
+// and RunBreak (Run is RunUntil(nil, budget) with an absolute budget
+// origin and ErrDeadlock as its no-progress verdict: a wedged Run can
+// never make progress again, while a wedged RunUntil is merely idle
+// until the workload driver feeds more input). Budget exhaustion is
+// checked after every time slice against s.TotalCycles - start; a
+// breakpoint (bp non-nil) is checked inside the slice and stops the
+// loop the same way, leaving the interrupted round in s.resume.
+//
+// A pending s.resume is finished first: the interrupted process runs
+// its remaining slice, then the rest of that round's processes take
+// full slices, and only then do fresh rounds begin. That way every
+// later slice boundary, budget check and cross-process interleaving
+// lands on exactly the cycle it would have in an unbroken run.
+func (s *System) schedule(cond func() bool, bp *breakpoint, start, budget uint64, stall error) (bool, error) {
+	var r schedResume
+	resumed := s.resume != nil
+	if resumed {
+		r, s.resume = *s.resume, nil
 	}
 	for {
-		if cond != nil && cond() {
-			return nil
-		}
-		alive, progress := 0, false
-		for _, p := range s.procs {
-			if p.Exited {
-				continue
+		if !resumed {
+			if cond != nil && cond() {
+				return false, nil
 			}
-			alive++
-			if p.runSlice(s.opts.TimeSlice) > 0 {
-				progress = true
+			r = schedResume{nprocs: len(s.procs)}
+		}
+		for i := r.procIdx; i < min(r.nprocs, len(s.procs)); i++ {
+			p := s.procs[i]
+			slice := s.opts.TimeSlice
+			if resumed && i == r.procIdx {
+				slice = r.sliceLeft // counted alive before the stop
+			} else if p.Exited {
+				continue
+			} else {
+				r.alive++
+			}
+			var st *breakState
+			if bp != nil {
+				st = bp.state(s, i)
+			}
+			ran, hit := p.runSlice(slice, st)
+			if ran > 0 {
+				r.progress = true
+			}
+			if hit {
+				stop := r
+				stop.procIdx, stop.sliceLeft = i, slice-ran
+				s.resume = &stop
+				return true, nil
 			}
 			if budget > 0 && s.TotalCycles-start >= budget {
-				return ErrBudget
+				return false, ErrBudget
 			}
 		}
-		if alive == 0 {
-			return nil
+		if r.alive == 0 {
+			return false, nil
 		}
-		if !progress {
-			return stall
+		if !r.progress {
+			return false, stall
 		}
+		resumed = false
 	}
 }
 
 // schedResume freezes the scheduler's position inside a partially
 // completed round — the state RunBreak leaves behind when it stops the
-// system mid-slice at a breakpoint. The next schedule call consumes it:
-// the interrupted process finishes its remaining slice first, then the
-// rest of that round's processes take full slices, and only then do
-// fresh rounds begin. That way every later slice boundary, budget check
-// and cross-process interleaving lands on exactly the cycle it would
-// have in an unbroken run.
+// system mid-slice at a breakpoint — and doubles as schedule's own
+// round state.
 type schedResume struct {
 	procIdx   int  // round position: the process that was mid-slice
 	sliceLeft int  // instructions left in its interrupted slice
@@ -942,135 +995,86 @@ type schedResume struct {
 	nprocs    int  // processes in the round when it started (later spawns join the next)
 }
 
-// resumeRound finishes a round interrupted by RunBreak. It returns
-// done=true when the scheduler must stop inside the resumed round
-// (budget exhausted, all processes exited, or no progress) and
-// done=false when the round completed and normal rounds should follow.
-func (s *System) resumeRound(start, budget uint64, stall error) (error, bool) {
-	r := s.resume
-	if r == nil {
-		return nil, false
-	}
-	s.resume = nil
-	alive, progress := r.alive, r.progress
-	n := r.nprocs
-	if n > len(s.procs) {
-		n = len(s.procs)
-	}
-	for i := r.procIdx; i < n; i++ {
-		p := s.procs[i]
-		slice := s.opts.TimeSlice
-		if i == r.procIdx {
-			slice = r.sliceLeft
-		} else {
-			if p.Exited {
-				continue
-			}
-			alive++
-		}
-		if p.runSlice(slice) > 0 {
-			progress = true
-		}
-		if budget > 0 && s.TotalCycles-start >= budget {
-			return ErrBudget, true
-		}
-	}
-	if alive == 0 {
-		return nil, true
-	}
-	if !progress {
-		return stall, true
-	}
-	return nil, false
+// breakpoint is RunBreak's stop condition: the target-th arrival of
+// one process's PC at va. states holds per-process arrival tracking,
+// indexed like System.procs and grown as processes are spawned.
+type breakpoint struct {
+	va     uint32
+	target int32
+	states []breakState
 }
 
-// breakState tracks breakpoint arrivals for one process during RunBreak.
-// atVA suppresses double counting when a slice ends (or a blocked
-// syscall retries) with the PC parked on the breakpoint address.
+// breakState tracks breakpoint arrivals for one process. atVA
+// suppresses double counting when a slice ends (or a blocked syscall
+// retries) with the PC parked on the breakpoint address. [lo, hi) is
+// the text of the process image containing va (empty when no image
+// does) — the only code the block engine must single-step.
 type breakState struct {
-	count int32
-	atVA  bool
+	bp     *breakpoint
+	count  int32
+	atVA   bool
+	lo, hi uint32
 }
 
-// RunBreak runs like Run(budget) but stops the whole system just before
-// the target-th arrival of any process's PC at va (arrivals are counted
-// across all processes). On a hit it returns (true, nil) with the
-// system frozen before the instruction at va executes and the
-// scheduler's mid-round position recorded, so Snapshot/Restore/Run
-// continues with slice boundaries, budget checks and interleavings
-// identical to an unbroken Run — the memoized-sweep prefix contract.
-// When every process exits (nil), the system deadlocks (ErrDeadlock) or
-// the budget runs out (ErrBudget) before the arrival, it returns
-// (false, err) with cycle accounting identical to Run's.
+// state returns process i's arrival tracking, creating it (and any
+// missing entries before it) on first use.
+func (bp *breakpoint) state(s *System, i int) *breakState {
+	for len(bp.states) <= i {
+		st := breakState{bp: bp}
+		if im := s.procs[len(bp.states)].imageAt(bp.va); im != nil {
+			st.lo, st.hi = im.TextBase, im.TextBase+uint32(len(im.text))
+		}
+		bp.states = append(bp.states, st)
+	}
+	return &bp.states[i]
+}
+
+// arrive reports whether the PC about to execute is the target
+// arrival, counting each arrival at va once.
+func (st *breakState) arrive(pc uint32) bool {
+	if pc != st.bp.va {
+		st.atVA = false
+		return false
+	}
+	if st.atVA {
+		return false
+	}
+	st.atVA = true
+	st.count++
+	return st.count == st.bp.target
+}
+
+// runSlice executes up to n instructions on the configured engine and
+// returns how many ran. With a breakpoint (st non-nil) it checks for
+// the target arrival before every instruction that could sit at va and
+// reports a hit with the instruction at va not yet executed.
 //
-// The instruction at va must not be able to block (true for interceptor
-// stub prologues, whose first instruction is a lea). The prefix executes
-// on the step engine regardless of Options.Engine — both engines are
-// decision-for-decision identical, so the stopped state is the one
-// either engine reaches.
-func (s *System) RunBreak(va uint32, target int32, budget uint64) (bool, error) {
-	if target <= 0 {
-		return false, fmt.Errorf("vm: RunBreak target %d not positive", target)
-	}
-	states := make(map[*Proc]*breakState)
-	for {
-		alive, progress := 0, false
-		nprocs := len(s.procs)
-		for i := 0; i < nprocs; i++ {
-			p := s.procs[i]
-			if p.Exited {
-				continue
-			}
-			alive++
-			st := states[p]
-			if st == nil {
-				st = &breakState{}
-				states[p] = st
-			}
-			ran, hit := p.runSliceBreak(s.opts.TimeSlice, va, target, st)
-			if ran > 0 {
-				progress = true
-			}
-			if hit {
-				s.resume = &schedResume{
-					procIdx:   i,
-					sliceLeft: s.opts.TimeSlice - ran,
-					alive:     alive,
-					progress:  progress,
-					nprocs:    nprocs,
-				}
-				return true, nil
-			}
-			if budget > 0 && s.TotalCycles >= budget {
-				return false, ErrBudget
-			}
-		}
-		if alive == 0 {
-			return false, nil
-		}
-		if !progress {
-			return false, ErrDeadlock
-		}
-	}
-}
-
-// runSliceBreak is the step engine's runSlice with an arrival check
-// before every instruction. It returns how many instructions ran and
-// whether the target arrival was reached (the instruction at va not yet
-// executed).
-func (p *Proc) runSliceBreak(n int, va uint32, target int32, st *breakState) (int, bool) {
+// EngineStep single-steps. EngineBlock dispatches superblock runs
+// (execBlock); a run straddling the slice boundary is split and resumes
+// mid-block next slice (ends[] is indexed per instruction, so any split
+// point is a valid entry), so scheduling — and therefore every
+// cross-process interleaving and budget check — is identical between
+// the engines. Under a breakpoint
+// the block engine dispatches only while the PC is outside the image
+// containing va and single-steps inside it. That skips no arrival:
+// execBlock chains and falls through only within the image it entered,
+// and every control transfer out of that image exits it, so every
+// instruction a dispatch executes lies outside va's image and every
+// arrival at va is a PC this loop observes.
+func (p *Proc) runSlice(n int, st *breakState) (int, bool) {
+	block := p.Sys.opts.Engine != EngineStep
 	ran := 0
 	for ran < n && !p.Exited {
-		if p.PC == va {
-			if !st.atVA {
-				st.atVA = true
-				st.count++
-				if st.count == target {
-					return ran, true
-				}
+		if st != nil && st.arrive(p.PC) {
+			return ran, true
+		}
+		if block && (st == nil || p.PC-st.lo >= st.hi-st.lo) {
+			m, cont := p.execBlock(n - ran)
+			ran += m
+			if !cont {
+				break // blocked in a syscall: yield the slice
 			}
-		} else {
-			st.atVA = false
+			continue
 		}
 		if !p.step() {
 			break // blocked in a syscall: yield the slice
@@ -1078,27 +1082,6 @@ func (p *Proc) runSliceBreak(n int, va uint32, target int32, st *breakState) (in
 		ran++
 	}
 	return ran, false
-}
-
-// runSlice executes up to n instructions on the configured engine;
-// returns how many ran. Both engines consume the slice instruction by
-// instruction — a superblock straddling the slice boundary is split, so
-// scheduling (and therefore every cross-process interleaving and budget
-// check) is identical between them.
-func (p *Proc) runSlice(n int) int {
-	if p.Sys.opts.Engine == EngineStep {
-		ran := 0
-		for i := 0; i < n && !p.Exited; i++ {
-			advanced := p.step()
-			if advanced {
-				ran++
-			} else {
-				break // blocked in a syscall: yield the slice
-			}
-		}
-		return ran
-	}
-	return p.runSliceBlocks(n)
 }
 
 func (p *Proc) kill(sig int32) {
