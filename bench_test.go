@@ -419,9 +419,8 @@ int main(void) {
 // has a dozen (function, error code) experiments. Besides libc the
 // target links a 400-function corpus library it barely uses — the
 // paper's reality, where applications load hundreds of KB of shared
-// library text per process and exercise a sliver of it. Fresh spawns
-// re-copy, re-relocate and re-decode all of it per experiment; the
-// snapshot runtime shares it immutably across restores.
+// library text per process and exercise a sliver of it. The snapshot
+// runtime loads it once and shares it immutably across restores.
 func sweepBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 	b.Helper()
 	lc, err := libc.Compile()
@@ -464,22 +463,21 @@ func sweepBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 		Executable: "swept",
 		Files:      map[string][]byte{"/data": []byte("mode=bench\n")},
 		// The app touches a few KB; right-size the address space so
-		// neither executor pays for untouched gigabytes of zeroes.
-		// Both executors get the same options, so the ratio is fair.
+		// restores do not pay for untouched gigabytes of zeroes.
 		VM: vm.Options{StackSize: 1 << 16, HeapLimit: 1 << 18},
 	}
 	return cfg, set
 }
 
 // BenchmarkSweepSequential is the single-worker reference: the whole
-// (function, error code) matrix, one fresh VM per experiment, in plan
-// order on one goroutine.
+// (function, error code) matrix through the campaign executor at one
+// worker, in plan order.
 func BenchmarkSweepSequential(b *testing.B) {
 	cfg, set := sweepBenchTarget(b)
 	b.ResetTimer()
 	var entries int
 	for i := 0; i < b.N; i++ {
-		res, err := core.Sweep(cfg, set, 0)
+		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -488,32 +486,12 @@ func BenchmarkSweepSequential(b *testing.B) {
 	b.ReportMetric(float64(entries), "experiments")
 }
 
-// BenchmarkSweepParallel is the same matrix over the worker-pool campaign
-// scheduler at GOMAXPROCS — the ZOFI-style claim that campaign throughput
-// scales with cores because experiments are independent.
-func BenchmarkSweepParallel(b *testing.B) {
-	cfg, set := sweepBenchTarget(b)
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	var entries int
-	for i := 0; i < b.N; i++ {
-		res, err := core.SweepParallel(cfg, set, 0, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		entries = len(res.Entries)
-	}
-	b.ReportMetric(float64(entries), "experiments")
-	b.ReportMetric(float64(workers), "workers")
-}
-
-// BenchmarkSweepSnapshot is the same matrix and worker count on the
-// fork-server runtime: the load pipeline (text copy, relocation,
-// decode, symbol maps, stub synthesis) runs once into a vm.Snapshot and
-// every experiment restores from it in O(writable bytes). The ratio to
-// BenchmarkSweepParallel is the per-experiment-setup share of campaign
-// cost that snapshotting eliminates (BENCH_sweep.json). It runs the
-// snapshot executor's defaults, prefix memoization included.
+// BenchmarkSweepSnapshot is the same matrix at GOMAXPROCS workers: the
+// load pipeline (text copy, relocation, decode, symbol maps, stub
+// synthesis) runs once into a vm.Snapshot and every experiment restores
+// from it in O(writable bytes). It runs the executor's defaults, prefix
+// memoization included; the ratio to BenchmarkSweepSequential is the
+// worker-pool scaling.
 func BenchmarkSweepSnapshot(b *testing.B) {
 	cfg, set := sweepBenchTarget(b)
 	workers := runtime.GOMAXPROCS(0)
@@ -521,7 +499,7 @@ func BenchmarkSweepSnapshot(b *testing.B) {
 	var entries int
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: true})
+			core.SweepOptions{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -616,8 +594,8 @@ func memoBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 }
 
 // BenchmarkSweepMemo A/Bs prefix memoization on the heavy-startup
-// exhaustive matrix: memo is the snapshot executor with the prefix
-// cache (the default), nomemo the same executor with -memo=false.
+// exhaustive matrix: memo is the executor with the prefix cache (the
+// default), nomemo the same executor with -memo=false.
 // Reports are byte-identical (scripts/memocheck.sh); the ratio is the
 // shared-prefix cost the memo cache eliminates, net of its own prefix
 // runs. Recorded in BENCH_sweep.json.
@@ -633,7 +611,7 @@ func BenchmarkSweepMemo(b *testing.B) {
 			var entries, restored int
 			for i := 0; i < b.N; i++ {
 				res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-					core.SweepOptions{Workers: workers, Snapshot: true, NoMemo: mode.noMemo})
+					core.SweepOptions{Workers: workers, NoMemo: mode.noMemo})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -651,14 +629,12 @@ func BenchmarkSweepMemo(b *testing.B) {
 	}
 }
 
-// BenchmarkRestoreCoW isolates the per-experiment restore cost the
-// copy-on-write snapshot buys back: a 1 MiB-stack guest that dirties
-// only a couple of pages per run, restored and run to completion per
-// iteration. Under cow (the default) a restore copies page-view
-// headers plus the few dirtied pages; under flat it deep-copies every
-// writable byte. The cow/flat ratio is the low-dirty-ratio speedup
-// recorded in BENCH_sweep.json — per-restore cost must scale with
-// dirtied pages, not writable-segment size.
+// BenchmarkRestoreCoW isolates the per-experiment restore cost of the
+// copy-on-write snapshot: a 1 MiB-stack guest that dirties only a
+// couple of pages per run, restored and run to completion per
+// iteration. A restore copies page-view headers plus the few dirtied
+// pages, so its cost must scale with dirtied pages, not
+// writable-segment size.
 func BenchmarkRestoreCoW(b *testing.B) {
 	const dirtySrc = `
 .exe dirty
@@ -673,36 +649,29 @@ func BenchmarkRestoreCoW(b *testing.B) {
   mov r0, r2
   halt
 `
-	for _, mode := range []struct {
-		name string
-		flat bool
-	}{{"cow", false}, {"flat", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := vm.NewSystem(vm.Options{StackSize: 1 << 20, HeapLimit: 1 << 16, FlatRestore: mode.flat})
-			f, err := asm.Assemble("dirty.s", dirtySrc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Register(f)
-			if _, err := sys.Spawn("dirty", vm.SpawnConfig{}); err != nil {
-				b.Fatal(err)
-			}
-			snap, err := sys.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := snap.Restore()
-				if err := r.Run(1_000_000); err != nil {
-					b.Fatal(err)
-				}
-				if p := r.Procs()[0]; !p.Exited || p.Status.Code != 1024 {
-					b.Fatalf("bad exit: %+v", p.Status)
-				}
-			}
-		})
+	sys := vm.NewSystem(vm.Options{StackSize: 1 << 20, HeapLimit: 1 << 16})
+	f, err := asm.Assemble("dirty.s", dirtySrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.Register(f)
+	if _, err := sys.Spawn("dirty", vm.SpawnConfig{}); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := snap.Restore()
+		if err := r.Run(1_000_000); err != nil {
+			b.Fatal(err)
+		}
+		if p := r.Procs()[0]; !p.Exited || p.Status.Code != 1024 {
+			b.Fatalf("bad exit: %+v", p.Status)
+		}
 	}
 }
 

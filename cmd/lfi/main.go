@@ -12,9 +12,9 @@
 //	lfi build prog.mc -o prog.slef [-exe]
 //	lfi plan -kind random -p 10 -seed 7 -profile libc.profile.xml -o plan.xml
 //	lfi plan -check plan.xml [-profile libc.profile.xml]
-//	lfi sweep -app app.slef -lib libc.slef -profile libc.profile.xml -j 8 -snapshot -prune
+//	lfi sweep -app app.slef -lib libc.slef -profile libc.profile.xml -j 8 -prune
 //	lfi sweep ... -store campaign/ -resume -triage -escalate
-//	lfi sweep -avail minidb -j 8 -snapshot -store campaign/ -triage
+//	lfi sweep -avail minidb -j 8 -store campaign/ -triage
 //	lfi sweep ... -order=static   # audit-prioritised execution order
 //	lfi audit -lib libc.slef [-profile libc.profile.xml] app.slef
 //	lfi disasm lib.slef [-func name]
@@ -518,11 +518,9 @@ func cmdSweep(args []string) error {
 	budget := fs.Uint64("budget", 0, "per-run cycle budget (0 = default)")
 	progress := fs.Bool("progress", false, "print live progress to stderr")
 	heur := fs.Bool("heuristics", false, "enable the §3.1 filtering heuristics for in-process profiling")
-	snapshot := fs.Bool("snapshot", false, "fork-server runtime: restore every run from one post-load snapshot")
-	cow := fs.Bool("cow", true, "copy-on-write restores: share template pages, copy on first write (with -snapshot; -cow=false deep-copies)")
-	memo := fs.Bool("memo", true, "prefix memoization: run the shared pre-fault prefix once per trigger site (with -snapshot; report stays byte-identical)")
+	memo := fs.Bool("memo", true, "prefix memoization: run the shared pre-fault prefix once per trigger site (report stays byte-identical)")
 	memoBudget := fs.Int64("memo-budget", 0, "prefix snapshot cache budget in bytes (0 = default 256 MiB)")
-	prune := fs.Bool("prune", false, "skip experiments whose function the baseline never calls (coverage-informed)")
+	prune := fs.Bool("prune", false, "skip experiments whose function the baseline never calls")
 	faults := fs.String("faults", "errno", "fault models to sweep: errno (error-return stores), degradation (latency + resource exhaustion), or all")
 	avail := fs.String("avail", "", "traffic-driven availability sweep against a built-in server guest (minidb, minidb-nr, httpd, httpd-mp); replaces -app/-lib/-profile/-faults")
 	engine := fs.String("engine", "", "VM execution engine: block (default) or step (reference interpreter)")
@@ -533,20 +531,6 @@ func cmdSweep(args []string) error {
 	maxPairs := fs.Int("max-pairs", 0, "cap on escalated pairs (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	// -memo/-memo-budget only act on the snapshot executor. They default
-	// on, so only an explicitly passed flag without -snapshot is a
-	// contradiction worth failing fast on (it used to be silently
-	// ignored).
-	if !*snapshot {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["memo"] && *memo {
-			return fmt.Errorf("sweep: -memo needs -snapshot (prefix memoization runs on the snapshot executor)")
-		}
-		if explicit["memo-budget"] {
-			return fmt.Errorf("sweep: -memo-budget needs -snapshot (prefix memoization runs on the snapshot executor)")
-		}
 	}
 	if err := vm.SetDefaultEngine(*engine); err != nil {
 		return fmt.Errorf("sweep: %w", err)
@@ -595,8 +579,7 @@ func cmdSweep(args []string) error {
 	}
 
 	opts := core.SweepOptions{
-		Workers: *jobs, MaxCrashes: *maxCrashes,
-		Snapshot: *snapshot, FlatRestore: !*cow, PruneUncalled: *prune,
+		Workers: *jobs, MaxCrashes: *maxCrashes, PruneUncalled: *prune,
 		NoMemo: !*memo, MemoBudget: *memoBudget,
 	}
 	if *progress {

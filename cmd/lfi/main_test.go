@@ -185,17 +185,19 @@ func TestCLISweep(t *testing.T) {
 		t.Errorf("in-process-profiled sweep malformed:\n%s", out2)
 	}
 
-	// The fork-server runtime and baseline-informed pruning must render
-	// the exact same report as the fresh-spawn sweep.
+	// Baseline-informed pruning and disabling memoization must render
+	// the exact same report as the default sweep.
 	base := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath, "-profile", profPath, "-j", "4"})
 	})
-	snap := captureStdout(t, func() error {
-		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-j", "4", "-snapshot", "-prune"})
-	})
-	if snap != base {
-		t.Errorf("-snapshot -prune report differs from fresh-spawn:\n--- fresh ---\n%s--- snapshot ---\n%s", base, snap)
+	for _, extra := range [][]string{{"-prune"}, {"-j", "1", "-memo=false"}} {
+		got := captureStdout(t, func() error {
+			return run(append([]string{"sweep", "-app", appPath, "-lib", libPath,
+				"-profile", profPath, "-j", "4"}, extra...))
+		})
+		if got != base {
+			t.Errorf("%v report differs from the default sweep:\n--- default ---\n%s--- %v ---\n%s", extra, base, extra, got)
+		}
 	}
 
 	if err := run([]string{"sweep"}); err == nil {
@@ -265,12 +267,12 @@ int main(void) {
 	if resumed != fresh {
 		t.Errorf("resumed report differs from fresh:\n--- fresh ---\n%s--- resumed ---\n%s", fresh, resumed)
 	}
-	// Resume is idempotent and executor-independent.
+	// Resume is idempotent and worker-count-independent.
 	again := captureStdout(t, func() error {
-		return run(append(base, "-j", "1", "-store", storeDir, "-resume", "-snapshot"))
+		return run(append(base, "-j", "1", "-store", storeDir, "-resume"))
 	})
 	if again != fresh {
-		t.Errorf("snapshot resume differs from fresh:\n%s\nvs\n%s", fresh, again)
+		t.Errorf("second resume differs from fresh:\n%s\nvs\n%s", fresh, again)
 	}
 
 	// Phase 3: triage + escalation render after the (unchanged) report.
@@ -358,31 +360,6 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-// TestCLISweepMemoFlagContradictions: -memo/-memo-budget act on the
-// snapshot executor only, so passing them without -snapshot fails fast
-// instead of being silently ignored. Validation runs before any asset
-// loads, so a bogus app path proves the error is the flag check's.
-func TestCLISweepMemoFlagContradictions(t *testing.T) {
-	for _, args := range [][]string{
-		{"sweep", "-app", "/nonexistent", "-memo"},
-		{"sweep", "-app", "/nonexistent", "-memo=true"},
-		{"sweep", "-app", "/nonexistent", "-memo-budget", "1"},
-		{"sweep", "-app", "/nonexistent", "-memo=false", "-memo-budget", "4096"},
-	} {
-		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), "needs -snapshot") {
-			t.Errorf("args %v: err = %v, want needs -snapshot", args, err)
-		}
-	}
-	// Explicitly disabling memoization without -snapshot is consistent,
-	// not a contradiction: the command proceeds past flag validation
-	// (and then fails on the unreadable app, not the flags).
-	err := run([]string{"sweep", "-app", "/nonexistent", "-memo=false"})
-	if err == nil || strings.Contains(err.Error(), "needs -snapshot") {
-		t.Errorf("-memo=false without -snapshot rejected: %v", err)
-	}
-}
-
 // TestCLISweepFaultModels: -faults selects the experiment matrix —
 // degradation rows render fault labels instead of retval/errno
 // coordinates, and -faults all is the concatenation of both sweeps.
@@ -400,7 +377,7 @@ func TestCLISweepFaultModels(t *testing.T) {
 
 	degr := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-faults", "degradation", "-j", "4", "-snapshot"})
+			"-profile", profPath, "-faults", "degradation", "-j", "4"})
 	})
 	for _, want := range []string{"delay=", "exhaust=disk:after=", "exhaust=fds:slots="} {
 		if !strings.Contains(degr, want) {
@@ -411,19 +388,19 @@ func TestCLISweepFaultModels(t *testing.T) {
 		t.Errorf("degradation sweep rendered errno coordinates:\n%s", degr)
 	}
 
-	// Degradation reports are engine- and worker-independent, like
-	// errno reports.
+	// Degradation reports are worker- and memo-independent, like errno
+	// reports.
 	degr2 := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-faults", "degradation", "-j", "1"})
+			"-profile", profPath, "-faults", "degradation", "-j", "1", "-memo=false"})
 	})
 	if degr2 != degr {
-		t.Errorf("degradation report differs across executors:\n--- snapshot j4 ---\n%s--- fresh j1 ---\n%s", degr, degr2)
+		t.Errorf("degradation report differs across configurations:\n--- j4 ---\n%s--- j1 nomemo ---\n%s", degr, degr2)
 	}
 
 	all := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-faults", "all", "-j", "4", "-snapshot"})
+			"-profile", profPath, "-faults", "all", "-j", "4"})
 	})
 	if !strings.Contains(all, "errno=") || !strings.Contains(all, "exhaust=disk:after=") {
 		t.Errorf("-faults all missing a model family:\n%s", all)

@@ -6,31 +6,30 @@
 // corpus, and one benchmark harness per table and figure of the paper.
 //
 // Fault-injection campaigns — the product of libraries × functions ×
-// error codes that §2 sweeps over a workload — run on a parallel campaign
-// scheduler (core.SweepParallel): the experiment matrix is generated
-// deterministically, distributed over a pool of workers each owning a
-// private Campaign/vm.System, and reassembled in plan order, so the
-// rendered robustness report is byte-identical at any worker count.
-// `lfi sweep -j N` and `lfi-bench -j N` expose the pool size; -max-crashes
-// stops a sweep at the N-th crash for triage.
+// error codes that §2 sweeps over a workload — run on one campaign
+// executor (core.RunExperiments): the experiment matrix is generated
+// deterministically, distributed over a pool of workers, and
+// reassembled in plan order, so the rendered robustness report is
+// byte-identical at any worker count. `lfi sweep -j N` and
+// `lfi-bench -j N` expose the pool size; -max-crashes stops a sweep at
+// the N-th crash for triage.
 //
-// Sweeps optionally run on a fork-server snapshot runtime (ZOFI-style):
-// the whole load pipeline — text copy, relocation, instruction decode,
+// The executor is a fork-server snapshot runtime (ZOFI-style): the
+// whole load pipeline — text copy, relocation, instruction decode,
 // symbol maps, stub synthesis for the union of intercepted functions —
 // executes once into an immutable vm.Snapshot, and every experiment
 // (baseline included) restores from it copy-on-write, binding only its
 // own compiled faultload; decoded instructions, patched text and symbol
 // tables are shared read-only by all restores, and writable pages are
-// shared until first write (see below). The rendered
-// report stays byte-identical to the fresh-spawn executor's for
-// call-keyed faultloads — everything the sweep matrix generates; see
-// the SweepOptions.Snapshot caveat on <cycles> windows and tight
-// explicit budgets —
-// (`lfi sweep -snapshot`, `lfi-bench -snapshot`; BenchmarkSweepSnapshot
-// vs BenchmarkSweepParallel in BENCH_sweep.json records the campaign
-// throughput gain). Baseline-informed pruning (`lfi sweep -prune`)
-// additionally skips experiments whose functions the coverage-traced
-// baseline proves the workload never calls.
+// shared until first write (see below). Every run of a sweep carries
+// the same stub surface, and its stubs' cycles are part of the sweep's
+// semantics: a <cycles> window or a tight explicit budget sees the
+// sibling experiments' stubs too, so such a faultload can classify
+// differently swept alone than next to other functions. Call-keyed
+// faultloads — everything the sweep matrix generates — classify as a
+// single-experiment `lfi run` would. Baseline-informed pruning
+// (`lfi sweep -prune`) additionally skips experiments whose functions
+// never reached a stub in the baseline run.
 //
 // # Persistent campaigns
 //
@@ -42,8 +41,8 @@
 // anywhere (the store recovers a torn trailing line on reopen) resumes
 // from exactly what it had: `lfi sweep -store d -resume` serves
 // completed keys from disk, runs only the remainder, and renders a
-// report byte-identical to a fresh full sweep on both executors at any
-// worker count, -max-crashes early stops included. On top of the store,
+// report byte-identical to a fresh full sweep at any worker count,
+// -max-crashes early stops included. On top of the store,
 // `-triage` dedups crash records into clusters keyed by crash-stack
 // hash (controller.StackHash) and ranked by reach — how many distinct
 // faultloads arrive at the same failure site — and `-escalate` mints an
@@ -114,22 +113,19 @@
 // copy, mark dirty, drop any read window aliasing it. "Reset to
 // shared" is free: the next Restore mints a fresh page table off the
 // same template, abandoning the dirty pages to the collector. Brk
-// flattens a CoW heap before resizing, and Options.FlatRestore (`lfi
-// sweep -cow=false`) selects the old deep-copy restore as an escape
-// hatch and A/B reference. The contract is that sharing is never
-// observable: restore-isolation tests interleave writes across
+// flattens a CoW heap before resizing. The contract is that sharing is
+// never observable: restore-isolation tests interleave writes across
 // sibling restores and require each to stay bit-identical to a fresh
 // spawn while untouched pages stay pointer-equal to the template
-// (TestRestoreCoWIsolation), FuzzRestoreCoW drives random
-// write/brk/run/restore schedules against the same oracle, and
-// cowcheck.sh requires byte-identical sweep reports across
-// fresh-spawn, CoW and flat executors under both engines.
-// BenchmarkRestoreCoW measures 9.6x per restore+run on a low-dirty-
-// ratio guest (BENCH_vm.json "restore").
+// (TestRestoreCoWIsolation), and FuzzRestoreCoW drives random
+// write/brk/run/restore schedules against the same oracle.
+// BenchmarkRestoreCoW measures the per restore+run cost on a
+// low-dirty-ratio guest (BENCH_vm.json "restore" records it against
+// the deep-copy restore it replaced).
 //
 // # Prefix memoization
 //
-// The snapshot executor additionally shares the pre-fault prefix
+// The executor additionally shares the pre-fault prefix
 // across experiments (internal/core, memo.go). A static analyzer
 // (scenario.FirstFireSite) conservatively maps each compiled faultload
 // to the deterministic (function, call-N) site where its fault first
@@ -286,7 +282,7 @@
 // slice boundary), same cycle counts at every observable boundary
 // (host calls, syscalls, budget checks, <cycles> triggers, profiler
 // charging), same coverage bits, same kills on the same instruction,
-// byte-identical sweep reports on both executors at any worker count.
+// byte-identical sweep reports at any worker count.
 // A lockstep differential test drives both engines one scheduler round
 // at a time comparing full machine state (internal/vm/exec_test.go),
 // and `-engine=step` on lfi run, lfi sweep and lfi-bench (or

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	workers := runtime.GOMAXPROCS(0)
-	res, err := experiments.Availability(workers, true)
+	res, err := experiments.Availability(workers)
 	if err != nil {
 		log.Fatal(err)
 	}

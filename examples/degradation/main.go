@@ -24,7 +24,7 @@ import (
 
 func main() {
 	workers := runtime.GOMAXPROCS(0)
-	res, err := experiments.FaultModels(workers, true)
+	res, err := experiments.FaultModels(workers)
 	if err != nil {
 		log.Fatal(err)
 	}

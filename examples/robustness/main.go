@@ -6,8 +6,8 @@
 // fork-server runtime: the load pipeline executes once per app into a
 // vm.Snapshot and every experiment restores from it in O(writable
 // bytes), with prefix memoization sharing each trigger site's pre-fault
-// prefix across its errno variants. The report is byte-identical to a
-// sequential fresh-spawn sweep at any worker count.
+// prefix across its errno variants. The report is byte-identical at any
+// worker count.
 //
 //	go run ./examples/robustness
 package main
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	workers := runtime.GOMAXPROCS(0)
-	res, err := experiments.Robustness(workers, true, true)
+	res, err := experiments.Robustness(workers, true)
 	if err != nil {
 		log.Fatal(err)
 	}

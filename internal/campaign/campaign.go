@@ -23,8 +23,8 @@
 // Resume serves completed keys from disk through the executor's Skip
 // hook and runs only the remainder; because entries are reassembled in
 // plan order regardless of origin, the resumed report is byte-identical
-// to a fresh full sweep — on both executors, at any worker count, with
-// -max-crashes early stops counting cached crashes in plan order.
+// to a fresh full sweep — at any worker count, with -max-crashes early
+// stops counting cached crashes in plan order.
 //
 // Triage then folds the store's crash records into clusters keyed by
 // crash-stack hash (controller.StackHash) and ranked by reach — how

@@ -73,7 +73,7 @@ func TestDegradationRecordsPersistAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := campaign.Sweep(cfg, exps, 0,
-		core.SweepOptions{Workers: 2, Snapshot: true}, s, false)
+		core.SweepOptions{Workers: 2}, s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDegradationRecordsPersistAndResume(t *testing.T) {
 	defer s2.Close()
 	executed := 0
 	res2, err := campaign.Sweep(cfg, core.DegradationExperiments(set), 0,
-		core.SweepOptions{Workers: 4, Snapshot: true,
+		core.SweepOptions{Workers: 4,
 			OnResult: func(*core.Experiment, core.SweepEntry, *core.Report) { executed++ }},
 		s2, true)
 	if err != nil {

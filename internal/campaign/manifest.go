@@ -23,9 +23,12 @@ const ManifestFile = "manifest.json"
 // another target's cached outcomes. Sweep writes the manifest on the
 // store's first use and refuses a store whose manifest disagrees.
 //
-// The snapshot/fresh executor choice and the worker count are
-// deliberately absent: both are byte-identical by contract, so records
-// from either are interchangeable.
+// The worker count and the memoization settings are deliberately
+// absent: reports are byte-identical across them, so records from any
+// of them are interchangeable. So is the sweep's function set, although
+// every run carries the stubs of all of them: a call-keyed record does
+// not depend on it, but a <cycles>-windowed or budget-bound one can,
+// so such records belong to a sweep over the same functions.
 type Manifest struct {
 	// Executable is the campaign's target program name.
 	Executable string `json:"executable"`

@@ -191,104 +191,102 @@ not json
 
 // TestSweepStoreResumeByteIdentical is the tentpole acceptance test: a
 // store half-filled by a killed campaign (max-crashes early stop),
-// resumed at 1/4/8 workers on both executors, renders byte-identical to
-// a fresh full sweep — including after a torn trailing line.
+// resumed at 1/4/8 workers, renders byte-identical to a full sweep —
+// including after a torn trailing line.
 func TestSweepStoreResumeByteIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
+	full, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Render()
+	want := full.Render()
 	if !strings.Contains(want, "crash") || !strings.Contains(want, "not-triggered") {
 		t.Fatalf("target does not cover enough outcomes:\n%s", want)
 	}
 
-	for _, snapshot := range []bool{false, true} {
-		dir := t.TempDir()
-		// Phase 1: the "killed" campaign — a max-crashes early stop
-		// leaves the store partially filled.
-		s, err := campaign.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		partial, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: 2, MaxCrashes: 1, Snapshot: snapshot}, s, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(partial.Entries) >= len(fresh.Entries) {
-			t.Fatalf("snapshot=%v: early stop did not truncate", snapshot)
-		}
-		recorded := len(s.Records())
-		if recorded == 0 {
-			t.Fatal("no records persisted")
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Simulate the kill landing mid-append: torn trailing line.
-		f, err := os.OpenFile(filepath.Join(dir, campaign.StoreFile), os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteString(`{"key":"torn","outc`); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	dir := t.TempDir()
+	// Phase 1: the "killed" campaign — a max-crashes early stop
+	// leaves the store partially filled.
+	s, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0,
+		core.SweepOptions{Workers: 2, MaxCrashes: 1}, s, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(partial.Entries) >= len(full.Entries) {
+		t.Fatalf("early stop did not truncate")
+	}
+	recorded := len(s.Records())
+	if recorded == 0 {
+		t.Fatal("no records persisted")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Simulate the kill landing mid-append: torn trailing line.
+	f, err := os.OpenFile(filepath.Join(dir, campaign.StoreFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"torn","outc`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
-		// Phase 2: resume at several worker counts; every report must be
-		// byte-identical to the fresh full sweep.
-		for _, workers := range []int{1, 4, 8} {
-			s2, err := campaign.Open(dir)
-			if err != nil {
-				t.Fatalf("snapshot=%v workers=%d: reopen: %v", snapshot, workers, err)
-			}
-			if got := len(s2.Records()); got != recorded {
-				t.Fatalf("snapshot=%v workers=%d: %d records survived recovery, want %d",
-					snapshot, workers, got, recorded)
-			}
-			res, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0,
-				core.SweepOptions{Workers: workers, Snapshot: snapshot}, s2, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Render(); got != want {
-				t.Errorf("snapshot=%v workers=%d: resumed report differs:\n--- fresh ---\n%s--- resumed ---\n%s",
-					snapshot, workers, want, got)
-			}
-			// The early stop may halt the dispatcher before every
-			// experiment was handed out, and then this resume appends
-			// the rest: the next reopen must recover what the store
-			// holds now.
-			recorded = len(s2.Records())
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
+	// Phase 2: resume at several worker counts; every report must be
+	// byte-identical to the full sweep.
+	for _, workers := range []int{1, 4, 8} {
+		s2, err := campaign.Open(dir)
+		if err != nil {
+			t.Fatalf("workers=%d: reopen: %v", workers, err)
 		}
+		if got := len(s2.Records()); got != recorded {
+			t.Fatalf("workers=%d: %d records survived recovery, want %d",
+				workers, got, recorded)
+		}
+		res, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0,
+			core.SweepOptions{Workers: workers}, s2, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Render(); got != want {
+			t.Errorf("workers=%d: resumed report differs:\n--- full ---\n%s--- resumed ---\n%s",
+				workers, want, got)
+		}
+		// The early stop may halt the dispatcher before every
+		// experiment was handed out, and then this resume appends
+		// the rest: the next reopen must recover what the store
+		// holds now.
+		recorded = len(s2.Records())
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-		// Phase 3: a fully-complete store resumes to the same report
-		// without executing anything (every key cached).
-		s3, err := campaign.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		executed := 0
-		opts := core.SweepOptions{Workers: 4, Snapshot: snapshot,
-			OnResult: func(*core.Experiment, core.SweepEntry, *core.Report) { executed++ }}
-		res, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0, opts, s3, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Render() != want {
-			t.Errorf("snapshot=%v: all-cached resume differs from fresh", snapshot)
-		}
-		if executed != 0 {
-			t.Errorf("snapshot=%v: all-cached resume executed %d experiments", snapshot, executed)
-		}
-		if err := s3.Close(); err != nil {
-			t.Fatal(err)
-		}
+	// Phase 3: a fully-complete store resumes to the same report
+	// without executing anything (every key cached).
+	s3, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := 0
+	opts := core.SweepOptions{Workers: 4,
+		OnResult: func(*core.Experiment, core.SweepEntry, *core.Report) { executed++ }}
+	res, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0, opts, s3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Render() != want {
+		t.Errorf("all-cached resume differs from the full sweep")
+	}
+	if executed != 0 {
+		t.Errorf("all-cached resume executed %d experiments", executed)
+	}
+	if err := s3.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -184,6 +184,16 @@ func NewCompiled(cp *scenario.CompiledPlan) *Controller {
 // Log returns the injection records so far.
 func (c *Controller) Log() []InjectionRecord { return append([]InjectionRecord(nil), c.log...) }
 
+// CallCount returns how many intercepted calls to fn have reached this
+// controller's stubs so far, summed over every process.
+func (c *Controller) CallCount(fn string) int32 {
+	var n int32
+	for _, ev := range c.evals {
+		n += ev.CallCount(fn)
+	}
+	return n
+}
+
 // ResetLog clears the injection log (between experiment repetitions).
 func (c *Controller) ResetLog() { c.log = c.log[:0] }
 

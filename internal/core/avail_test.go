@@ -184,16 +184,13 @@ func TestAvailabilitySweepDeterminism(t *testing.T) {
 		}
 	}
 	legs := map[string]core.SweepOptions{
-		"fresh-w4":        {Workers: 4},
-		"snapshot-cow-w1": {Workers: 1, Snapshot: true},
-		"snapshot-cow-w4": {Workers: 4, Snapshot: true},
-		"snapshot-flat":   {Workers: 2, Snapshot: true, FlatRestore: true},
-		"snapshot-nomemo": {Workers: 4, Snapshot: true, NoMemo: true},
-		"snapshot-memo-1": {Workers: 2, Snapshot: true, MemoBudget: 1},
+		"w4":     {Workers: 4},
+		"nomemo": {Workers: 4, NoMemo: true},
+		"memo-1": {Workers: 2, MemoBudget: 1},
 	}
 	for name, opts := range legs {
 		if got := run(opts); got != ref {
-			t.Errorf("%s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
+			t.Errorf("%s report diverged from the single-worker reference:\n--- ref\n%s\n--- %s\n%s",
 				name, ref, name, got)
 		}
 	}
@@ -211,7 +208,7 @@ func TestAvailabilityMultiProcessServer(t *testing.T) {
 	}}
 	exps := core.AvailabilityExperiments(set, apps.AvailAfter)
 	res, err := core.RunExperiments(availCfg(t, "httpd-mp", "httpdw"), exps, 0,
-		core.SweepOptions{Workers: 4, Snapshot: true})
+		core.SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,8 @@ const (
 // LatencyPct zero: a completed run whose total virtual cycles exceed
 // the baseline's by more than 25% classifies as degraded even when
 // every request succeeded. The margin is far above the executor noise
-// floor (the snapshot executor's shared stub surface adds well under
-// 1% cycles), so classes agree across engines and restore modes.
+// floor (the sweep's shared stub surface adds well under 1% cycles), so
+// classes agree across engines, worker counts and memo settings.
 const DefaultAvailLatencyPct = 25
 
 // AvailDelaySlowCycles is the moderate injected latency of the

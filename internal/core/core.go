@@ -28,43 +28,21 @@
 //	})
 //	report, _ := c.Run(0)
 //
-// # Parallel campaigns
+// # Campaigns
 //
 // The §2 robustness benchmark — every (function, error code) of the
-// profile set injected once into a fresh run — is embarrassingly
-// parallel: experiments share nothing but read-only inputs. The sweep
-// engine splits it into a generator and an executor:
+// profile set injected once — is embarrassingly parallel: experiments
+// share nothing but read-only inputs. The sweep engine splits it into a
+// generator and an executor:
 //
 //	exps := core.PlanExperiments(set)                      // the matrix, in plan order
-//	res, _ := core.SweepParallel(cfg, set, 0, workers)     // pool of private Campaigns
 //	res, _ := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
 //	    Workers:    8,
 //	    MaxCrashes: 5,                    // triage: stop at the 5th crash
 //	    Progress:   func(p core.SweepProgress) { ... },    // live tallies
 //	})
 //
-// Each worker owns a full Campaign (its own vm.System, controller and
-// evaluator); completions are re-ordered into plan order before they are
-// committed, so the SweepResult — including early-stopped ones, whose
-// crash threshold is counted in plan order — renders byte-identical at
-// every worker count. Seeded random faultloads stay reproducible too:
-// an evaluator's random stream derives from its plan's Seed, never from
-// scheduling.
-//
-// A single Campaign is not safe for concurrent use; concurrency comes
-// from running many of them. CampaignConfig inputs (Programs, Profiles,
-// Files, Compiled) are shared across workers and must not be mutated
-// during a sweep — the VM loader copies text and data segments per
-// process, the controller treats profiles as immutable, and faultloads
-// are compiled once per campaign into an immutable
-// scenario.CompiledPlan (PlanExperiments pre-compiles each experiment's
-// single-trigger plan so all runs and workers share it), so sharing is
-// read-only.
-//
-// # Snapshot campaigns
-//
-// With SweepOptions.Snapshot, the executor switches to a fork-server
-// runtime. Its lifecycle per sweep:
+// RunExperiments is a fork-server runtime. Its lifecycle per sweep:
 //
 //  1. Template build (once): register programs and kernel files,
 //     synthesise one interceptor stub library for the union of every
@@ -75,39 +53,55 @@
 //     entry point.
 //  3. Restore (per run, baseline included): Snapshot.Restore mints a
 //     private System in O(writable bytes) — writable data/TLS/stack/
-//     heap segments, registers, kernel FS/FD state and cycle counters
-//     are deep-copied; patched text, decoded instructions, symbol
-//     tables and the whole Image are shared immutably. The run then
-//     binds only its own faultload: a thin controller over the shared
-//     stub surface and compiled plan (controller.NewWithStubs), whose
-//     evaluators and log are the run's entire private state.
+//     heap segments (copy-on-write pages), registers, kernel FS/FD
+//     state and cycle counters are private; patched text, decoded
+//     instructions, symbol tables and the whole Image are shared
+//     immutably. The run then binds only its own faultload: a thin
+//     controller over the shared stub surface and compiled plan
+//     (controller.NewWithStubs), whose evaluators and log are the
+//     run's entire private state.
 //
-// The concurrency contract: the Snapshot, StubSet and CompiledPlans
+// Every run of a sweep therefore executes the same images. Stubs for
+// functions the current faultload does not name count the call, charge
+// the evaluation cost and pass through, so the baseline (an empty
+// plan) exits as an uninstrumented run would. Those stub cycles are
+// part of the sweep's semantics: sibling experiments' stubs count
+// toward <cycles> windows and cycle budgets, so such a faultload can
+// classify differently swept alone than next to other functions. A
+// report depends only on the experiment list, never on the worker
+// count, memoization or resume.
+//
+// Completions are re-ordered into plan order before they are
+// committed, so the SweepResult — including early-stopped ones, whose
+// crash threshold is counted in plan order — renders byte-identical at
+// every worker count. Seeded random faultloads stay reproducible too:
+// an evaluator's random stream derives from its plan's Seed, never from
+// scheduling.
+//
+// A single Campaign (NewCampaign, the `lfi run` path) is not safe for
+// concurrent use. In a sweep the Snapshot, StubSet and CompiledPlans
 // are immutable and shared by every worker; each restored System and
 // its controller belong to exactly one run and must not outlive it
-// into another. Stubs for functions the current faultload does not
-// name evaluate to pass-through, so the baseline (an empty plan) and
-// every experiment execute the same images — which is what makes the
-// snapshot report byte-identical to the fresh-spawn report, seeded
-// random faultloads and -max-crashes early stops included.
+// into another. CampaignConfig inputs (Programs, Profiles, Files,
+// Compiled) are shared across workers and must not be mutated during a
+// sweep.
 //
-// SweepOptions.PruneUncalled adds baseline-informed pruning on either
-// executor: the baseline runs once with instruction coverage, and
-// experiments whose faultload only names functions the baseline never
-// executed are committed as not-triggered without spawning a run —
-// sound because the deterministic VM replays the baseline exactly
-// until a fault fires.
+// SweepOptions.PruneUncalled adds baseline-informed pruning: the
+// baseline's controller counts every stub arrival, and experiments
+// whose faultload only names functions the baseline never reached are
+// committed as not-triggered without spawning a run — sound because
+// the deterministic VM replays the baseline exactly until a fault
+// fires.
 //
-// The snapshot executor also memoizes shared pre-fault prefixes
-// (memo.go, on by default; SweepOptions.NoMemo opts out): experiments
-// whose faultload has a deterministic first-fire site
-// (scenario.FirstFireSite) are grouped by site, each group's prefix is
-// executed once to just before the trigger call (vm.System.RunBreak)
-// and frozen as a mid-execution snapshot plus controller checkpoint,
-// and members restore from it to run only their suffix. The cache is a
-// byte-budgeted LRU shared across workers; SweepResult.Memo reports
-// its hit statistics. The rendered report stays byte-identical either
-// way (scripts/memocheck.sh).
+// The executor also memoizes shared pre-fault prefixes (memo.go, on by
+// default; SweepOptions.NoMemo opts out): experiments whose faultload
+// has a deterministic first-fire site (scenario.FirstFireSite) are
+// grouped by site, each group's prefix is executed once to just before
+// the trigger call (vm.System.RunBreak) and frozen as a mid-execution
+// snapshot plus controller checkpoint, and members restore from it to
+// run only their suffix. The cache is a byte-budgeted LRU shared across
+// workers; SweepResult.Memo reports its hit statistics. The rendered
+// report stays byte-identical either way (scripts/memocheck.sh).
 package core
 
 import (

@@ -2,8 +2,9 @@ package core_test
 
 // Sweep-report differential for the VM execution engines: the block
 // engine must render byte-identical robustness reports to the legacy
-// step engine on both executors (fresh-spawn and snapshot), at 1/4/8
-// workers, under -max-crashes early stops and seeded random faultloads.
+// step engine on both the sweep executor and the fresh-spawn reference
+// (one NewCampaign per experiment), at 1/4/8 workers, under
+// -max-crashes early stops and seeded random faultloads.
 // The instruction-level lockstep oracle lives in internal/vm; this is
 // the campaign-level end of the same contract — outcome classification,
 // cycle budgets and injection logs must be decision-for-decision
@@ -19,12 +20,17 @@ import (
 )
 
 // engineReports runs the same experiment list under both engines and
-// returns the rendered reports.
-func engineReports(t *testing.T, exps []core.Experiment, opts core.SweepOptions) (step, block string) {
+// returns the rendered reports — from the sweep executor, or from the
+// fresh-spawn reference when fresh is set.
+func engineReports(t *testing.T, exps []core.Experiment, opts core.SweepOptions, fresh bool) (step, block string) {
 	t.Helper()
 	run := func(engine string) string {
-		cfg, _ := mixedTarget(t)
+		cfg, set := mixedTarget(t)
 		cfg.VM.Engine = engine
+		if fresh {
+			cfg.Profiles = set // random triggers draw candidates from the profiles
+			return freshSweep(t, cfg, exps, opts).Render()
+		}
 		res, err := core.RunExperiments(cfg, exps, 0, opts)
 		if err != nil {
 			t.Fatalf("engine %s: %v", engine, err)
@@ -49,13 +55,11 @@ func TestSweepEngineDifferential(t *testing.T) {
 			}}},
 		})
 	}
-	for _, snapshot := range []bool{false, true} {
+	for _, fresh := range []bool{true, false} {
 		for _, workers := range []int{1, 4, 8} {
-			name := map[bool]string{false: "fresh", true: "snapshot"}[snapshot]
+			name := map[bool]string{true: "fresh", false: "snapshot"}[fresh]
 			t.Run(name+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
-				step, block := engineReports(t, exps, core.SweepOptions{
-					Workers: workers, Snapshot: snapshot,
-				})
+				step, block := engineReports(t, exps, core.SweepOptions{Workers: workers}, fresh)
 				if step != block {
 					t.Errorf("reports differ:\n--- step ---\n%s--- block ---\n%s", step, block)
 				}
@@ -67,14 +71,14 @@ func TestSweepEngineDifferential(t *testing.T) {
 func TestSweepEngineDifferentialMaxCrashes(t *testing.T) {
 	_, set := mixedTarget(t)
 	exps := core.PlanExperiments(set)
-	for _, snapshot := range []bool{false, true} {
-		name := map[bool]string{false: "fresh", true: "snapshot"}[snapshot]
+	for _, fresh := range []bool{true, false} {
+		name := map[bool]string{true: "fresh", false: "snapshot"}[fresh]
 		t.Run(name, func(t *testing.T) {
 			var want string
 			for _, workers := range []int{1, 4, 8} {
 				step, block := engineReports(t, exps, core.SweepOptions{
-					Workers: workers, Snapshot: snapshot, MaxCrashes: 1,
-				})
+					Workers: workers, MaxCrashes: 1,
+				}, fresh)
 				if step != block {
 					t.Fatalf("workers=%d: early-stopped reports differ:\n--- step ---\n%s--- block ---\n%s",
 						workers, step, block)

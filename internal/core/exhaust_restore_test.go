@@ -32,11 +32,12 @@ func readCounter(t *testing.T, sys *vm.System, client, sym string) int32 {
 
 // TestExhaustFDsAcceptSnapshotRestore composes <exhaust resource="fds">
 // with the serving guest's accept and proves the armed+tripped state
-// round-trips through CoW and flat VM snapshot restores taken
+// round-trips through a copy-on-write VM snapshot restore taken
 // mid-connection: the fault fires mid-warmup, the starved accept leaves
 // the client's connection queued on the backlog, and a snapshot frozen
-// at that instant restores — in either mode — to a kernel that is
-// still armed, still tripped, and still starving the same connection.
+// at that instant restores to a kernel that is still armed, still
+// tripped, and still starving the same connection — ending exactly
+// where the unbroken run does.
 func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 	set := flagshipSet()
 	plan := &scenario.Plan{Triggers: []scenario.Trigger{{
@@ -56,69 +57,65 @@ func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 		warmFail int32
 		done     int32
 	}
-	leg := func(flat bool) endState {
-		cfg := availCfg(t, "minidb")
-		cfg.Compiled = cp
-		cfg.VM.FlatRestore = flat
-		c, err := core.NewCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := availCfg(t, "minidb")
+	cfg.Compiled = cp
+	c, err := core.NewCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := c.System()
+	// Step the run in absolute-budget increments until the starved
+	// accept trips the degradation — mid-warmup, mid-connection.
+	var budget uint64
+	for !sys.Kernel().Degradation().FDsTripped {
+		budget += 200_000
+		if budget > 50_000_000 {
+			t.Fatal("fd pressure never tripped")
 		}
-		sys := c.System()
-		// Step the run in absolute-budget increments until the starved
-		// accept trips the degradation — mid-warmup, mid-connection.
-		var budget uint64
-		for !sys.Kernel().Degradation().FDsTripped {
-			budget += 200_000
-			if budget > 50_000_000 {
-				t.Fatal("fd pressure never tripped")
-			}
-			if err := sys.Run(budget); err != nil && err != vm.ErrBudget {
-				t.Fatalf("run: %v", err)
-			}
+		if err := sys.Run(budget); err != nil && err != vm.ErrBudget {
+			t.Fatalf("run: %v", err)
 		}
-		want := sys.Kernel().Degradation()
-		if !want.FDsArmed || !want.FDsTripped {
-			t.Fatalf("trip state = %+v", want)
+	}
+	want := sys.Kernel().Degradation()
+	if !want.FDsArmed || !want.FDsTripped {
+		t.Fatalf("trip state = %+v", want)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// finish resumes a run: the accept stays starved, the client stays
+	// queued, and the run burns down to its budget — a wedge.
+	client := apps.AvailClientName("minidb")
+	finish := func(name string, s *vm.System) endState {
+		if err := s.Run(budget + 2_000_000); err != vm.ErrBudget {
+			t.Fatalf("%s run = %v, want ErrBudget", name, err)
 		}
-
-		snap, err := sys.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsys := snap.Restore()
-		if got := rsys.Kernel().Degradation(); got != want {
-			t.Fatalf("flat=%v restored degradation = %+v, want %+v", flat, got, want)
-		}
-		// Resume the restored run: the accept stays starved, the client
-		// stays queued, and the run burns down to its budget — a wedge.
-		if err := rsys.Run(budget + 2_000_000); err != vm.ErrBudget {
-			t.Fatalf("flat=%v resumed run = %v, want ErrBudget", flat, err)
-		}
-		client := apps.AvailClientName("minidb")
 		return endState{
-			deg:      rsys.Kernel().Degradation(),
-			warmOK:   readCounter(t, rsys, client, "av_warm_ok"),
-			warmFail: readCounter(t, rsys, client, "av_warm_fail"),
-			done:     readCounter(t, rsys, client, "av_done"),
+			deg:      s.Kernel().Degradation(),
+			warmOK:   readCounter(t, s, client, "av_warm_ok"),
+			warmFail: readCounter(t, s, client, "av_warm_fail"),
+			done:     readCounter(t, s, client, "av_done"),
 		}
 	}
-
-	cow := leg(false)
-	flat := leg(true)
-	if cow != flat {
-		t.Fatalf("restore modes diverged:\ncow  = %+v\nflat = %+v", cow, flat)
+	rsys := snap.Restore()
+	if got := rsys.Kernel().Degradation(); got != want {
+		t.Fatalf("restored degradation = %+v, want %+v", got, want)
 	}
-	if !cow.deg.FDsArmed || !cow.deg.FDsTripped {
-		t.Fatalf("end degradation = %+v, want armed+tripped", cow.deg)
+	restored := finish("restored", rsys)
+	if unbroken := finish("unbroken", sys); restored != unbroken {
+		t.Fatalf("restored run diverged from the unbroken one:\nrestored = %+v\nunbroken = %+v", restored, unbroken)
 	}
-	if cow.done != 0 {
+	if !restored.deg.FDsArmed || !restored.deg.FDsTripped {
+		t.Fatalf("end degradation = %+v, want armed+tripped", restored.deg)
+	}
+	if restored.done != 0 {
 		t.Fatal("client completed its phases under a starved accept")
 	}
 	// The fault fired at accept call 51: fifty warmup requests were
 	// served before it, none failed fast (the listener stays alive, so
 	// the client blocks in recv rather than erroring).
-	if cow.warmOK != 50 || cow.warmFail != 0 {
-		t.Fatalf("warmup counters = %d ok / %d fail, want 50/0", cow.warmOK, cow.warmFail)
+	if restored.warmOK != 50 || restored.warmFail != 0 {
+		t.Fatalf("warmup counters = %d ok / %d fail, want 50/0", restored.warmOK, restored.warmFail)
 	}
 }

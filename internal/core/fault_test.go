@@ -143,9 +143,9 @@ func TestDegradationSweepOutcomes(t *testing.T) {
 }
 
 // The degradation matrix must render byte-identically across every
-// executor configuration: fresh spawns, snapshot restores (CoW and
-// flat), memoized prefixes (unbounded and evicting), and any worker
-// count. This is the in-process half of scripts/faultcheck.sh.
+// executor configuration: memoized prefixes (unbounded and evicting),
+// no memoization, and any worker count. This is the in-process half of
+// scripts/faultcheck.sh.
 func TestDegradationSweepDeterminism(t *testing.T) {
 	set, lc, app := faultSet(t)
 	cfg := core.CampaignConfig{
@@ -162,16 +162,13 @@ func TestDegradationSweepDeterminism(t *testing.T) {
 	}
 	ref := run(core.SweepOptions{Workers: 1})
 	legs := map[string]core.SweepOptions{
-		"fresh-w4":        {Workers: 4},
-		"snapshot-cow-w1": {Workers: 1, Snapshot: true},
-		"snapshot-cow-w4": {Workers: 4, Snapshot: true},
-		"snapshot-flat":   {Workers: 2, Snapshot: true, FlatRestore: true},
-		"snapshot-nomemo": {Workers: 4, Snapshot: true, NoMemo: true},
-		"snapshot-memo-1": {Workers: 2, Snapshot: true, MemoBudget: 1},
+		"w4":     {Workers: 4},
+		"nomemo": {Workers: 4, NoMemo: true},
+		"memo-1": {Workers: 2, MemoBudget: 1},
 	}
 	for name, opts := range legs {
 		if got := run(opts); got != ref {
-			t.Errorf("%s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
+			t.Errorf("%s report diverged from the single-worker reference:\n--- ref\n%s\n--- %s\n%s",
 				name, ref, name, got)
 		}
 	}

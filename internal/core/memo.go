@@ -11,7 +11,7 @@ import (
 )
 
 // Trigger-point snapshot memoization: the prefix-sharing layer of the
-// snapshot executor.
+// sweep executor.
 //
 // Every experiment of an exhaustive functions × errnos sweep replays
 // the same deterministic prefix from the entry point up to the call its

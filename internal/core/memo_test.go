@@ -42,15 +42,15 @@ func wideTarget(t testing.TB) (core.CampaignConfig, profile.Set) {
 }
 
 // TestSweepMemoIdentical is the determinism bar of prefix memoization:
-// on an exhaustive errno matrix the memoized snapshot sweep renders
-// byte-identically to the non-memoized one across both engines, CoW and
-// flat restores, at 1, 4 and 8 workers.
+// on an exhaustive errno matrix the memoized sweep renders
+// byte-identically to the non-memoized one across both engines, at 1,
+// 4 and 8 workers.
 func TestSweepMemoIdentical(t *testing.T) {
 	cfg, set := wideTarget(t)
 	for _, engine := range []string{vm.EngineStep, vm.EngineBlock} {
 		cfg.VM.Engine = engine
 		ref, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: 1, Snapshot: true, NoMemo: true})
+			core.SweepOptions{Workers: 1, NoMemo: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,27 +59,25 @@ func TestSweepMemoIdentical(t *testing.T) {
 			t.Fatalf("target does not cover enough outcomes:\n%s", want)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			for _, flat := range []bool{false, true} {
-				got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-					core.SweepOptions{Workers: workers, Snapshot: true, FlatRestore: flat})
-				if err != nil {
-					t.Fatalf("engine=%v workers=%d flat=%v: %v", engine, workers, flat, err)
-				}
-				if r := got.Render(); r != want {
-					t.Errorf("engine=%v workers=%d flat=%v memoized report differs:\n--- nomemo ---\n%s--- memo ---\n%s",
-						engine, workers, flat, want, r)
-				}
-				if got.Memo == nil {
-					t.Fatalf("engine=%v workers=%d flat=%v: no memo stats", engine, workers, flat)
-				}
-				if got.Memo.Restored == 0 {
-					t.Errorf("engine=%v workers=%d flat=%v: memoizer never restored a prefix: %+v",
-						engine, workers, flat, *got.Memo)
-				}
-				if got.Memo.Terminal == 0 {
-					t.Errorf("engine=%v workers=%d flat=%v: write group should be served from a terminal prefix: %+v",
-						engine, workers, flat, *got.Memo)
-				}
+			got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
+				core.SweepOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("engine=%v workers=%d: %v", engine, workers, err)
+			}
+			if r := got.Render(); r != want {
+				t.Errorf("engine=%v workers=%d memoized report differs:\n--- nomemo ---\n%s--- memo ---\n%s",
+					engine, workers, want, r)
+			}
+			if got.Memo == nil {
+				t.Fatalf("engine=%v workers=%d: no memo stats", engine, workers)
+			}
+			if got.Memo.Restored == 0 {
+				t.Errorf("engine=%v workers=%d: memoizer never restored a prefix: %+v",
+					engine, workers, *got.Memo)
+			}
+			if got.Memo.Terminal == 0 {
+				t.Errorf("engine=%v workers=%d: write group should be served from a terminal prefix: %+v",
+					engine, workers, *got.Memo)
 			}
 		}
 	}
@@ -92,7 +90,7 @@ func TestSweepMemoIdentical(t *testing.T) {
 func TestSweepMemoStats(t *testing.T) {
 	cfg, set := wideTarget(t)
 	res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-		core.SweepOptions{Workers: 4, Snapshot: true})
+		core.SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +142,14 @@ func TestSweepMemoLaterSite(t *testing.T) {
 		}
 	}
 	ref, err := core.RunExperiments(cfg, exps, 0,
-		core.SweepOptions{Workers: 1, Snapshot: true, NoMemo: true})
+		core.SweepOptions{Workers: 1, NoMemo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Render()
 	for _, workers := range []int{1, 4} {
 		got, err := core.RunExperiments(cfg, exps, 0,
-			core.SweepOptions{Workers: workers, Snapshot: true})
+			core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -185,13 +183,13 @@ func TestSweepMemoUnmemoizable(t *testing.T) {
 		})
 	}
 	ref, err := core.RunExperiments(cfg, exps, 0,
-		core.SweepOptions{Workers: 1, Snapshot: true, NoMemo: true})
+		core.SweepOptions{Workers: 1, NoMemo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Render()
 	got, err := core.RunExperiments(cfg, exps, 0,
-		core.SweepOptions{Workers: 4, Snapshot: true})
+		core.SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +208,13 @@ func TestSweepMemoUnmemoizable(t *testing.T) {
 func TestSweepMemoEviction(t *testing.T) {
 	cfg, set := wideTarget(t)
 	ref, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-		core.SweepOptions{Workers: 1, Snapshot: true, NoMemo: true})
+		core.SweepOptions{Workers: 1, NoMemo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Render()
 	got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-		core.SweepOptions{Workers: 1, Snapshot: true, MemoBudget: 1})
+		core.SweepOptions{Workers: 1, MemoBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +231,14 @@ func TestSweepMemoEviction(t *testing.T) {
 func TestSweepMemoMaxCrashes(t *testing.T) {
 	cfg, set := wideTarget(t)
 	ref, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-		core.SweepOptions{Workers: 1, Snapshot: true, NoMemo: true, MaxCrashes: 2})
+		core.SweepOptions{Workers: 1, NoMemo: true, MaxCrashes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Render()
 	for _, workers := range []int{1, 4, 8} {
 		got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: true, MaxCrashes: 2})
+			core.SweepOptions{Workers: workers, MaxCrashes: 2})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -262,7 +260,7 @@ func TestSweepProgressServed(t *testing.T) {
 	// Phase 1: record the full sweep.
 	recorded := make(map[string]core.SweepEntry)
 	full, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
-		Workers: 1, Snapshot: true,
+		Workers: 1,
 		OnResult: func(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) {
 			recorded[exp.Key()] = entry
 		},
@@ -286,7 +284,7 @@ func TestSweepProgressServed(t *testing.T) {
 		updates  int
 	)
 	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
-		Workers: 1, Snapshot: true,
+		Workers: 1,
 		Skip: func(exp *core.Experiment) (core.SweepEntry, bool) {
 			if cached[exp.Key()] {
 				return recorded[exp.Key()], true

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"lfi/internal/profile"
 )
 
 // SweepOptions tunes the campaign executor.
@@ -26,49 +24,31 @@ type SweepOptions struct {
 	// Progress, when non-nil, is called after each experiment is
 	// committed to the report, in plan order, from a single goroutine.
 	Progress func(SweepProgress)
-	// Snapshot switches the executor to the fork-server runtime: the
-	// whole load pipeline (text copy, relocation, instruction decode,
-	// symbol maps, stub synthesis for the union of intercepted
-	// functions) runs once into an immutable vm.Snapshot, and every
-	// run — baseline included — restores from it in O(writable bytes),
-	// binding only its own compiled faultload. The rendered report is
-	// byte-identical to the fresh-spawn executor's for faultloads whose
-	// triggers key on calls (inject=, <calls>, probability, stacks,
-	// after-fault — everything PlanExperiments generates), with one
-	// caveat: the shared surface intercepts every swept function in
-	// every run, so virtual cycle counts run slightly higher than under
-	// the fresh executor's single-function stubs. A <cycles>-windowed
-	// trigger or a run sitting exactly at an explicit tight cycle
-	// budget can therefore classify differently; under the default
-	// budget and call-keyed triggers the reports match byte for byte.
+	// Snapshot is ignored: every sweep restores its runs from one
+	// post-load snapshot.
+	//
+	// Deprecated: ignored; kept so existing callers still compile.
 	Snapshot bool
-	// FlatRestore disables the page-granular copy-on-write restore of
-	// the snapshot executor and deep-copies every writable byte per run
-	// instead (the CLI's -cow=false escape hatch). Reports are
-	// byte-identical either way; only the per-experiment cost differs.
-	// Ignored unless Snapshot is set.
-	FlatRestore bool
-	// NoMemo disables trigger-point prefix memoization. Under Snapshot,
-	// precompiled experiments sharing a deterministic first-fire site
+	// NoMemo disables trigger-point prefix memoization. Precompiled
+	// experiments sharing a deterministic first-fire site
 	// (scenario.FirstFireSite: same function, call number and trigger
 	// count, no probability/after-fault/sticky/pid/cycles conditions)
 	// are grouped: the deterministic prefix up to the site runs once per
 	// group into a mid-execution snapshot + controller checkpoint, and
 	// each member restores from it and runs only its suffix. Reports are
-	// byte-identical either way (scripts/memocheck.sh); the zero value
-	// keeps memoization on — the CLI's `-memo=false` escape hatch sets
-	// this. Ignored unless Snapshot is set.
+	// byte-identical either way; the zero value keeps memoization on —
+	// the CLI's `-memo=false` escape hatch sets this.
 	NoMemo bool
 	// MemoBudget caps the memo cache's resident snapshot bytes; 0 means
 	// DefaultMemoBudget. Least-recently-used prefixes are evicted (and
 	// rebuilt on demand) beyond the budget. Ignored when memoization is
-	// inactive.
+	// off.
 	MemoBudget int64
-	// PruneUncalled enables baseline-informed pruning: the baseline
-	// runs once with instruction coverage, and experiments whose
-	// faultload only names functions the baseline never executed are
-	// committed as not-triggered without spawning a run (deterministic
-	// execution guarantees the run would replay the baseline exactly).
+	// PruneUncalled enables baseline-informed pruning: experiments whose
+	// faultload only names functions that never reached a stub in the
+	// baseline run are committed as not-triggered without spawning a run
+	// (deterministic execution guarantees the run would replay the
+	// baseline exactly).
 	// The rendered report is unchanged; only the work is skipped.
 	PruneUncalled bool
 	// Skip, when non-nil, is consulted once per experiment before any
@@ -126,20 +106,13 @@ func (p SweepProgress) String() string {
 		p.Tally[OutcomeCrash], p.Tally[OutcomeHang], p.Tally[OutcomeErrorExit], p.Served)
 }
 
-// SweepParallel is Sweep distributed over a pool of workers, each running
-// complete experiments in its own Campaign/vm.System. Results are
-// re-ordered into plan order as they arrive, so the final SweepResult —
-// and its Render output — is byte-identical to the sequential Sweep at
-// any worker count. workers <= 0 defaults to runtime.GOMAXPROCS(0).
-func SweepParallel(cfg CampaignConfig, set profile.Set, budget uint64, workers int) (*SweepResult, error) {
-	return RunExperiments(cfg, PlanExperiments(set), budget, SweepOptions{Workers: workers})
-}
-
-// RunExperiments is the campaign executor: it runs the clean baseline,
-// dispatches the experiments to a worker pool, and collects the entries
-// back into plan order. It is the engine beneath Sweep and SweepParallel;
-// callers with custom faultloads (e.g. seeded random triggers) can build
-// their own experiment list and execute it here directly.
+// RunExperiments is the campaign executor: it builds the sweep's
+// snapshot template, runs the clean baseline, dispatches the
+// experiments to a worker pool, and collects the entries back into plan
+// order, so the SweepResult — and its Render output — is byte-identical
+// at any worker count. Callers with custom faultloads (e.g. seeded
+// random triggers) build their own experiment list; PlanExperiments
+// builds the exhaustive one.
 func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts SweepOptions) (*SweepResult, error) {
 	if budget == 0 {
 		budget = DefaultSweepBudget
@@ -157,49 +130,22 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		}
 		return k
 	}
-	// A matrix that intercepts nothing — empty, or experiments whose
-	// faultloads name no functions — has nothing a snapshot would
-	// amortise: fall back to the fresh executor so the report matches
-	// it instead of failing to build a stub set.
-	var sr *snapshotRunner
-	if opts.Snapshot {
-		if fns := sweepFunctions(exps); len(fns) > 0 {
-			// cfg is a by-value copy, so flipping the VM option here
-			// never leaks into the caller's config or the fresh-spawn
-			// paths (which build their systems straight from cfg.VM).
-			cfg.VM.FlatRestore = opts.FlatRestore
-			r, err := newSnapshotRunner(cfg, fns)
-			if err != nil {
-				return nil, err
-			}
-			sr = r
-			if !opts.NoMemo {
-				sr.memo = newMemoCache(opts.MemoBudget)
-				sr.memo.plan(exps)
-			}
-		}
-	}
-	// The baseline anchors outcome classification. With pruning it also
-	// collects the coverage-derived call set, which needs a fresh
-	// coverage-enabled campaign; otherwise it comes from a snapshot
-	// restore (pass-through stubs leave the exit code unchanged; sr is
-	// nil for an empty matrix even with opts.Snapshot) or a plain fresh
-	// spawn. All three produce the same exit code.
-	var (
-		base   *Report
-		called map[string]bool
-		err    error
-	)
-	switch {
-	case opts.PruneUncalled:
-		base, called, err = baselineCoverage(cfg, budget)
-	case sr != nil:
-		base, err = sr.baseline(budget)
-	default:
-		base, err = runBaseline(cfg, budget)
-	}
+	sr, err := newSnapshotRunner(cfg, sweepFunctions(exps))
 	if err != nil {
 		return nil, err
+	}
+	if !opts.NoMemo {
+		sr.memo = newMemoCache(opts.MemoBudget)
+		sr.memo.plan(exps)
+	}
+	// The baseline anchors outcome classification and, for pruning,
+	// names the swept functions the clean run reached.
+	base, called, err := sr.baseline(budget)
+	if err != nil {
+		return nil, err
+	}
+	if !opts.PruneUncalled {
+		called = nil
 	}
 	run := func(exp Experiment) (SweepEntry, bool, error) {
 		// Resume outranks pruning: a cached entry is the recorded truth
@@ -217,17 +163,7 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 				return entry, true, nil
 			}
 		}
-		var (
-			entry  SweepEntry
-			rep    *Report
-			served bool
-			err    error
-		)
-		if sr != nil {
-			entry, rep, served, err = sr.run(exp, base, budget)
-		} else {
-			entry, rep, err = runExperiment(cfg, exp, base, budget)
-		}
+		entry, rep, served, err := sr.run(exp, base, budget)
 		if err != nil {
 			return entry, served, err
 		}
@@ -237,7 +173,7 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		return entry, served, nil
 	}
 	res := &SweepResult{Executable: cfg.Executable, Baseline: base.Status.Code}
-	if sr != nil && sr.memo != nil {
+	if sr.memo != nil {
 		defer func() { res.Memo = sr.memo.statsSnapshot() }()
 	}
 
@@ -245,25 +181,7 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-
-	collect := newCollector(res, len(exps), opts)
-	if workers <= 1 {
-		for k := range exps {
-			i := pos(k)
-			entry, served, err := run(exps[i])
-			if err != nil {
-				return nil, err
-			}
-			if collect.commit(i, entry, served) {
-				break
-			}
-		}
-		collect.reassemble()
-		return res, nil
-	}
+	workers = max(min(workers, len(exps)), 1)
 
 	type job struct {
 		idx int
@@ -275,37 +193,22 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		served bool
 		err    error
 	}
-	jobs := make(chan job)
+	// The collector hands out one job per result it receives, so at most
+	// workers experiments are in flight: neither channel's sends ever
+	// block, and once the collector stops handing out jobs — early stop,
+	// error — no further experiment starts.
+	jobs := make(chan job, workers)
 	results := make(chan outcome, workers)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	// On every exit path — completion, early stop, error — halt the pool
-	// and drain results until the closer closes the channel, i.e. until
-	// every worker has exited. A worker mid-experiment finishes that run
-	// first, so no goroutine reads the shared CampaignConfig after this
-	// function returns and callers may immediately reuse or mutate it.
-	defer func() {
-		halt()
-		for range results {
+	sent := 0
+	dispatch := func() {
+		if sent < len(exps) {
+			i := pos(sent)
+			jobs <- job{idx: i, exp: exps[i]}
+			sent++
 		}
-	}()
-
-	// Dispatcher: feeds the plan in execution order until done or halted.
-	go func() {
-		defer close(jobs)
-		for k := range exps {
-			i := pos(k)
-			select {
-			case jobs <- job{idx: i, exp: exps[i]}:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	// Workers: one fresh Campaign per experiment, nothing shared but the
-	// read-only config.
+	}
+	// Workers: each run restores its own System from the shared
+	// template; nothing else is shared but read-only inputs.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -313,11 +216,7 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 			defer wg.Done()
 			for j := range jobs {
 				entry, served, err := run(j.exp)
-				select {
-				case results <- outcome{idx: j.idx, entry: entry, served: served, err: err}:
-				case <-stop:
-					return
-				}
+				results <- outcome{idx: j.idx, entry: entry, served: served, err: err}
 			}
 		}()
 	}
@@ -325,6 +224,19 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		wg.Wait()
 		close(results)
 	}()
+	// On every exit path — completion, early stop, error — close the job
+	// queue and drain results until every worker has exited. A worker
+	// mid-experiment finishes that run first, so no goroutine reads the
+	// shared CampaignConfig after this function returns and callers may
+	// immediately reuse or mutate it.
+	defer func() {
+		close(jobs)
+		for range results {
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		dispatch()
+	}
 
 	// Collector: re-order completions into execution order so the report
 	// is independent of scheduling (plan order unless ExecOrder permutes
@@ -332,32 +244,30 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 	// buffered like entries and surfaced in execution order too — an
 	// error from a later experiment must not preempt an earlier early
 	// stop, or the sweep would fail at some worker counts and succeed at
-	// others.
+	// others. The experiment at the head of execution order is always in
+	// flight until committed, so the receive below never waits forever.
+	collect := newCollector(res, len(exps), opts)
 	pending := make(map[int]outcome, workers)
 	next := 0
-	for r := range results {
+	for next < len(exps) {
+		r := <-results
 		pending[r.idx] = r
-		stopped := false
 		for next < len(exps) {
 			o, ok := pending[pos(next)]
 			if !ok {
 				break
 			}
 			if o.err != nil {
-				halt()
 				return nil, o.err
 			}
 			delete(pending, pos(next))
 			next++
 			if collect.commit(o.idx, o.entry, o.served) {
-				stopped = true
-				break
+				collect.reassemble()
+				return res, nil
 			}
 		}
-		if stopped || next == len(exps) {
-			halt()
-			break
-		}
+		dispatch()
 	}
 	collect.reassemble()
 	return res, nil

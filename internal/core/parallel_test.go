@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"lfi/internal/core"
@@ -78,10 +79,10 @@ func mixedTarget(t testing.TB) (core.CampaignConfig, profile.Set) {
 }
 
 // TestSweepParallelDeterminism is the engine's core guarantee: any worker
-// count renders the exact same report as the sequential sweep.
+// count renders the exact same report as the single-worker sweep.
 func TestSweepParallelDeterminism(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	seq, err := core.Sweep(cfg, set, 0)
+	seq, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +91,8 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		!strings.Contains(want, "handled") || !strings.Contains(want, "not-triggered") {
 		t.Fatalf("target does not cover enough outcomes:\n%s", want)
 	}
-	for _, workers := range []int{1, 4, 8} {
-		par, err := core.SweepParallel(cfg, set, 0, workers)
+	for _, workers := range []int{4, 8, 0} {
+		par, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -142,16 +143,28 @@ func TestSweepParallelDeterminismSeededRandom(t *testing.T) {
 // worker count.
 func TestSweepParallelEarlyStop(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	full, err := core.Sweep(cfg, set, 0)
+	full, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want *core.SweepResult
 	for _, workers := range []int{1, 4, 8} {
+		var mu sync.Mutex
+		executed := 0
 		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, MaxCrashes: 1})
+			core.SweepOptions{Workers: workers, MaxCrashes: 1,
+				OnResult: func(*core.Experiment, core.SweepEntry, *core.Report) {
+					mu.Lock()
+					executed++
+					mu.Unlock()
+				}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		// One worker runs nothing past the stopping crash; more may
+		// finish the experiments already in flight.
+		if workers == 1 && executed != len(res.Entries) {
+			t.Errorf("workers=1: executed %d experiments for %d entries", executed, len(res.Entries))
 		}
 		if n := res.Summary()[core.OutcomeCrash]; n != 1 {
 			t.Fatalf("workers=%d: crashes = %d, want exactly 1", workers, n)

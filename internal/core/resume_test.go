@@ -10,64 +10,60 @@ import (
 // TestSweepSkipResumeIdentical is the executor half of the resume
 // contract: results captured live by OnResult from a partial sweep,
 // served back through Skip, must yield a report byte-identical to a
-// fresh full sweep — at 1, 4 and 8 workers, on both executors.
+// full sweep — at 1, 4 and 8 workers.
 func TestSweepSkipResumeIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
+	full, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Render()
+	want := full.Render()
 
-	for _, snapshot := range []bool{false, true} {
-		// Phase 1: execute exactly the first half of the matrix with
-		// OnResult recording — the "killed at 50%" half-completed
-		// campaign.
-		var mu sync.Mutex
-		done := make(map[string]core.SweepEntry)
-		half := core.PlanExperiments(set)[:len(fresh.Entries)/2]
-		if _, err := core.RunExperiments(cfg, half, 0, core.SweepOptions{
-			Workers: 4, Snapshot: snapshot,
-			OnResult: func(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) {
+	// Phase 1: execute exactly the first half of the matrix with
+	// OnResult recording — the "killed at 50%" half-completed campaign.
+	var mu sync.Mutex
+	done := make(map[string]core.SweepEntry)
+	half := core.PlanExperiments(set)[:len(full.Entries)/2]
+	if _, err := core.RunExperiments(cfg, half, 0, core.SweepOptions{
+		Workers: 4,
+		OnResult: func(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) {
+			mu.Lock()
+			done[exp.Key()] = entry
+			mu.Unlock()
+		},
+	}); err != nil {
+		t.Fatalf("partial: %v", err)
+	}
+	if len(done) != len(half) {
+		t.Fatalf("recorded %d of %d executed experiments", len(done), len(half))
+	}
+
+	// Phase 2: resume — completed keys served from the recorded map.
+	for _, workers := range []int{1, 4, 8} {
+		var skipped, ran int
+		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{
+			Workers: workers,
+			Skip: func(exp *core.Experiment) (core.SweepEntry, bool) {
 				mu.Lock()
-				done[exp.Key()] = entry
-				mu.Unlock()
+				defer mu.Unlock()
+				if e, ok := done[exp.Key()]; ok {
+					skipped++
+					return e, true
+				}
+				ran++
+				return core.SweepEntry{}, false
 			},
-		}); err != nil {
-			t.Fatalf("snapshot=%v partial: %v", snapshot, err)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d resume: %v", workers, err)
 		}
-		if len(done) != len(half) {
-			t.Fatalf("snapshot=%v: recorded %d of %d executed experiments",
-				snapshot, len(done), len(half))
+		if got := res.Render(); got != want {
+			t.Errorf("workers=%d: resumed report differs from full:\n--- full ---\n%s--- resumed ---\n%s",
+				workers, want, got)
 		}
-
-		// Phase 2: resume — completed keys served from the recorded map.
-		for _, workers := range []int{1, 4, 8} {
-			var skipped, ran int
-			res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{
-				Workers: workers, Snapshot: snapshot,
-				Skip: func(exp *core.Experiment) (core.SweepEntry, bool) {
-					mu.Lock()
-					defer mu.Unlock()
-					if e, ok := done[exp.Key()]; ok {
-						skipped++
-						return e, true
-					}
-					ran++
-					return core.SweepEntry{}, false
-				},
-			})
-			if err != nil {
-				t.Fatalf("snapshot=%v workers=%d resume: %v", snapshot, workers, err)
-			}
-			if got := res.Render(); got != want {
-				t.Errorf("snapshot=%v workers=%d: resumed report differs from fresh:\n--- fresh ---\n%s--- resumed ---\n%s",
-					snapshot, workers, want, got)
-			}
-			if skipped == 0 || ran == 0 {
-				t.Errorf("snapshot=%v workers=%d: resume did not mix cached (%d) and fresh (%d) entries",
-					snapshot, workers, skipped, ran)
-			}
+		if skipped == 0 || ran == 0 {
+			t.Errorf("workers=%d: resume did not mix cached (%d) and executed (%d) entries",
+				workers, skipped, ran)
 		}
 	}
 }
@@ -84,7 +80,7 @@ func TestSweepResumeRespectsMaxCrashes(t *testing.T) {
 	}
 	// Serve every entry of the full matrix from cache.
 	cache := make(map[string]core.SweepEntry)
-	full, err := core.Sweep(cfg, set, 0)
+	full, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

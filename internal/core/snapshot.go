@@ -4,19 +4,25 @@ import (
 	"fmt"
 
 	"lfi/internal/controller"
-	"lfi/internal/isa"
-	"lfi/internal/obj"
 	"lfi/internal/scenario"
 	"lfi/internal/vm"
 )
 
-// snapshotRunner is the fork-server campaign executor. It pays the full
-// load pipeline once — program registration, kernel files, stub
-// synthesis for the union of every function the sweep intercepts, spawn
-// (text copy, relocation, decode, symbol maps) — and freezes the result
-// as a vm.Snapshot. Each experiment, and the baseline, then restores
-// from the snapshot in O(writable bytes) and binds only its own
-// compiled faultload to the shared stub surface.
+// snapshotRunner is the campaign executor — the fork-server runtime
+// every sweep runs on. It pays the full load pipeline once — program
+// registration, kernel files, stub synthesis for the union of every
+// function the sweep intercepts, spawn (text copy, relocation, decode,
+// symbol maps) — and freezes the result as a vm.Snapshot. Each
+// experiment, and the baseline, then restores from the snapshot in
+// O(writable bytes) and binds only its own compiled faultload to the
+// shared stub surface.
+//
+// Every run of a sweep therefore executes the same images: stubs for
+// functions the current faultload does not name count the call, charge
+// the evaluation cost and pass through. That one stub surface is part
+// of a sweep's semantics — sibling experiments' stubs count toward
+// <cycles> windows and cycle budgets — so a report depends on the
+// sweep's function set, never on worker count, memoization or resume.
 //
 // A runner is immutable after construction and safe for concurrent use
 // by any number of sweep workers: the snapshot, stub set and
@@ -25,7 +31,7 @@ import (
 type snapshotRunner struct {
 	cfg      CampaignConfig
 	snap     *vm.Snapshot
-	stubs    *controller.StubSet
+	stubs    *controller.StubSet    // nil when the sweep intercepts nothing
 	passthru *scenario.CompiledPlan // empty plan: the baseline's faultload
 	// stubVAs maps each intercepted function to its stub entry address
 	// in the template — the breakpoint targets of prefix memoization.
@@ -46,14 +52,10 @@ func sweepFunctions(exps []Experiment) []string {
 }
 
 // newSnapshotRunner builds the template system for a sweep and
-// snapshots it at the post-load entry point. fns must be non-empty
-// (RunExperiments falls back to the fresh executor otherwise — with
-// nothing to intercept there is nothing a snapshot would amortise).
+// snapshots it at the post-load entry point. With no functions to
+// intercept (an empty matrix, or experiments without faultloads) the
+// template preloads no stub library and every run is uninstrumented.
 func newSnapshotRunner(cfg CampaignConfig, fns []string) (*snapshotRunner, error) {
-	stubs, err := controller.NewStubSet(fns)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot sweep: %w", err)
-	}
 	sys := vm.NewSystem(cfg.VM)
 	for _, f := range cfg.Programs {
 		sys.Register(f)
@@ -61,8 +63,19 @@ func newSnapshotRunner(cfg CampaignConfig, fns []string) (*snapshotRunner, error
 	for path, data := range cfg.Files {
 		sys.Kernel().AddFile(path, data)
 	}
-	stubs.InstallTemplate(sys)
-	proc, err := sys.Spawn(cfg.Executable, vm.SpawnConfig{Preload: stubs.PreloadList()})
+	var (
+		stubs *controller.StubSet
+		spawn vm.SpawnConfig
+	)
+	if len(fns) > 0 {
+		var err error
+		if stubs, err = controller.NewStubSet(fns); err != nil {
+			return nil, fmt.Errorf("core: sweep: %w", err)
+		}
+		stubs.InstallTemplate(sys)
+		spawn.Preload = stubs.PreloadList()
+	}
+	proc, err := sys.Spawn(cfg.Executable, spawn)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -71,7 +84,7 @@ func newSnapshotRunner(cfg CampaignConfig, fns []string) (*snapshotRunner, error
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	stubVAs := make(map[string]uint32)
-	if im, ok := proc.ImageByName(controller.StubLibName); ok {
+	if im, ok := proc.ImageByName(controller.StubLibName); ok && stubs != nil {
 		for _, fn := range stubs.Functions() {
 			if va, ok := im.SymbolVA(fn); ok {
 				stubVAs[fn] = va
@@ -100,38 +113,51 @@ func experimentFunctions(exp *Experiment) []string {
 }
 
 // exec restores one run from the snapshot, binds the faultload and
-// executes it to completion under the budget.
-func (r *snapshotRunner) exec(cp *scenario.CompiledPlan, budget uint64) (*Report, error) {
+// executes it to completion under the budget. The controller is nil
+// when the template intercepts nothing.
+func (r *snapshotRunner) exec(cp *scenario.CompiledPlan, budget uint64) (*Report, *controller.Controller, error) {
 	sys := r.snap.Restore()
-	// PassThrough stays false, mirroring runExperiment's explicit clear:
-	// sweep experiments always activate their faults on both executors.
-	ctl := controller.NewWithStubs(r.stubs, cp)
-	if err := ctl.Install(sys); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	var ctl *controller.Controller
+	if r.stubs != nil {
+		// PassThrough stays false: sweep experiments always activate
+		// their faults.
+		ctl = controller.NewWithStubs(r.stubs, cp)
+		if err := ctl.Install(sys); err != nil {
+			return nil, nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	err := sys.Run(budget) // sequenced: status/cycles are read post-run
 	rep, rerr := assembleReport(err, sys, ctl, r.cfg.Avail)
 	if r.cfg.VM.Coverage {
 		rep.Coverage = coveredInsts(sys)
 	}
-	return rep, rerr
+	return rep, ctl, rerr
 }
 
-// baseline runs the clean reference from the snapshot: the shared stub
-// surface with an empty faultload is a pure pass-through, so the exit
-// code matches a fresh uninstrumented spawn.
-func (r *snapshotRunner) baseline(budget uint64) (*Report, error) {
-	rep, err := r.exec(r.passthru, budget)
+// baseline runs the clean reference from the snapshot — the shared stub
+// surface with an empty faultload, a pure pass-through — and reports
+// which swept functions it reached: every stub arrival is counted by
+// the baseline controller's per-process evaluators. An experiment whose
+// functions are all absent from that set can never fire, so its run
+// would replay the baseline bit for bit (baseline-informed pruning).
+func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, error) {
+	rep, ctl, err := r.exec(r.passthru, budget)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := checkBaseline(rep, r.cfg.Avail); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rep, nil
+	called := make(map[string]bool)
+	for fn := range r.stubVAs {
+		if ctl.CallCount(fn) > 0 {
+			called[fn] = true
+		}
+	}
+	return rep, called, nil
 }
 
-// run executes one experiment on the snapshot executor. Precompiled
+// run executes one experiment. Precompiled
 // experiments whose faultload has a deterministic first-fire site
 // shared with at least one other experiment go through the prefix memo
 // cache (memo.go); everything else runs in full via runPlain. The
@@ -154,18 +180,16 @@ func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (Sweep
 	return entry, rep, false, err
 }
 
-// runPlain executes one experiment from the snapshot and classifies it
-// — the restore-path twin of runExperiment, returning the run report
-// for OnResult observers alongside the entry.
+// runPlain executes one experiment from the snapshot and classifies it,
+// returning the run report for OnResult observers alongside the entry.
 func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, error) {
 	entry := exp.entry()
 	cp := exp.Compiled
 	switch {
 	case cp != nil:
 	case exp.Plan == nil:
-		// The fresh path runs a plan-less experiment uninstrumented and
-		// classifies it not-triggered; the pass-through surface is its
-		// restore-side equivalent (no trigger can fire).
+		// A plan-less experiment runs on the pass-through surface: no
+		// trigger can fire, so it classifies not-triggered.
 		cp = r.passthru
 	default:
 		var err error
@@ -174,14 +198,12 @@ func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (
 			return entry, nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	// Match the fresh path's contract: a supplied faultload with no
-	// triggers is an error there (the per-experiment stub library would
-	// be empty), so it must fail here too, in the same plan-order
-	// position.
+	// A supplied faultload with no triggers intercepts nothing: it is an
+	// error, surfaced in plan order.
 	if cp != r.passthru && len(cp.Functions()) == 0 {
 		return entry, nil, fmt.Errorf("core: controller: %w", controller.ErrNoTriggers)
 	}
-	rep, err := r.exec(cp, budget)
+	rep, _, err := r.exec(cp, budget)
 	if err != nil {
 		return entry, nil, err
 	}
@@ -189,50 +211,8 @@ func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (
 	return entry, rep, nil
 }
 
-// baselineCoverage runs the clean baseline once with instruction
-// coverage enabled and reports its exit code plus every exported
-// function the run executed (in any process, in any loaded module).
-// It feeds baseline-informed pruning: an experiment whose faultload
-// only names functions outside this set can never fire, because the
-// deterministic VM replays the baseline exactly until a fault changes
-// control flow.
-func baselineCoverage(cfg CampaignConfig, budget uint64) (*Report, map[string]bool, error) {
-	covCfg := cfg
-	covCfg.Plan = nil
-	covCfg.Compiled = nil
-	covCfg.VM.Coverage = true
-	c, err := NewCampaign(covCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := c.Run(budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := checkBaseline(rep, cfg.Avail); err != nil {
-		return nil, nil, err
-	}
-	called := make(map[string]bool)
-	for _, p := range c.System().Procs() {
-		for _, im := range p.Images {
-			for _, sym := range im.File.Symbols {
-				if sym.Kind != obj.SymFunc || !sym.Exported || called[sym.Name] {
-					continue
-				}
-				for off := sym.Off; off < sym.Off+sym.Size; off += isa.Size {
-					if im.Covered(off) {
-						called[sym.Name] = true
-						break
-					}
-				}
-			}
-		}
-	}
-	return rep, called, nil
-}
-
 // pruneEntry short-circuits an experiment the baseline proves inert:
-// if none of its faultload's functions were executed by the clean run,
+// if none of its faultload's functions reached a stub in the clean run,
 // the experiment replays the baseline exactly — terminating with the
 // baseline exit code and an empty injection log — so its entry can be
 // synthesised without spawning a run. Experiments with a missing,

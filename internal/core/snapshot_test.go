@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"lfi/internal/core"
@@ -9,76 +10,41 @@ import (
 	"lfi/internal/scenario"
 )
 
-// TestSweepSnapshotIdentical is the acceptance bar for the fork-server
-// runtime: at 1, 4 and 8 workers the snapshot-restore sweep renders a
-// byte-identical SweepResult to the fresh-spawn sweep.
+// TestSweepSnapshotIdentical is the acceptance bar for the sweep
+// executor: at 1, 4 and 8 workers it renders a byte-identical
+// SweepResult to the fresh-spawn reference on a call-keyed matrix.
 func TestSweepSnapshotIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Render()
+	want := freshSweep(t, cfg, core.PlanExperiments(set), core.SweepOptions{}).Render()
 	if !strings.Contains(want, "crash") || !strings.Contains(want, "not-triggered") {
 		t.Fatalf("target does not cover enough outcomes:\n%s", want)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		snap, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: true})
+			core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := snap.Render(); got != want {
-			t.Errorf("workers=%d snapshot report differs from fresh-spawn:\n--- fresh ---\n%s--- snapshot ---\n%s",
+			t.Errorf("workers=%d report differs from fresh-spawn reference:\n--- fresh ---\n%s--- snapshot ---\n%s",
 				workers, want, got)
 		}
 	}
 }
 
-// TestSweepFlatRestoreIdentical pins the copy-on-write restore to the
-// flat deep-copy restore at the report level: for every worker count,
-// CoW (the default), FlatRestore and fresh-spawn sweeps all render the
-// same bytes. Only the per-experiment cost may differ.
-func TestSweepFlatRestoreIdentical(t *testing.T) {
-	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Render()
-	for _, workers := range []int{1, 4, 8} {
-		for _, flat := range []bool{false, true} {
-			got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-				core.SweepOptions{Workers: workers, Snapshot: true, FlatRestore: flat})
-			if err != nil {
-				t.Fatalf("workers=%d flat=%v: %v", workers, flat, err)
-			}
-			if r := got.Render(); r != want {
-				t.Errorf("workers=%d flat=%v report differs from fresh-spawn:\n--- fresh ---\n%s--- snapshot ---\n%s",
-					workers, flat, want, r)
-			}
-		}
-	}
-}
-
-// TestSweepSnapshotEarlyStop: -max-crashes semantics must hold under
-// the snapshot runtime too, truncating at the same plan-order entry.
+// TestSweepSnapshotEarlyStop: -max-crashes truncates at the same
+// plan-order entry as the fresh-spawn reference, at every worker count.
 func TestSweepSnapshotEarlyStop(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-		core.SweepOptions{Workers: 1, MaxCrashes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Render()
+	want := freshSweep(t, cfg, core.PlanExperiments(set), core.SweepOptions{MaxCrashes: 1}).Render()
 	for _, workers := range []int{1, 4, 8} {
 		snap, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, MaxCrashes: 1, Snapshot: true})
+			core.SweepOptions{Workers: workers, MaxCrashes: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := snap.Render(); got != want {
-			t.Errorf("workers=%d early-stopped snapshot report differs:\n--- fresh ---\n%s--- snapshot ---\n%s",
+			t.Errorf("workers=%d early-stopped report differs:\n--- fresh ---\n%s--- snapshot ---\n%s",
 				workers, want, got)
 		}
 	}
@@ -101,14 +67,10 @@ func TestSweepSnapshotSeededRandom(t *testing.T) {
 		})
 	}
 	cfg.Profiles = set // random triggers draw candidates from the profiles
-	fresh, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Render()
+	want := freshSweep(t, cfg, exps, core.SweepOptions{}).Render()
 	for _, workers := range []int{1, 4, 8} {
 		snap, err := core.RunExperiments(cfg, exps, 0,
-			core.SweepOptions{Workers: workers, Snapshot: true})
+			core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -120,8 +82,7 @@ func TestSweepSnapshotSeededRandom(t *testing.T) {
 }
 
 // TestSweepSnapshotPropagatesError: a broken experiment (empty
-// faultload) must abort a snapshot sweep exactly as it aborts a fresh
-// one, and an earlier plan-order crash threshold must still win.
+// faultload) must abort the sweep at every worker count.
 func TestSweepSnapshotPropagatesError(t *testing.T) {
 	cfg, set := mixedTarget(t)
 	exps := core.PlanExperiments(set)
@@ -130,8 +91,7 @@ func TestSweepSnapshotPropagatesError(t *testing.T) {
 		Plan: &scenario.Plan{},
 	})
 	for _, workers := range []int{1, 4} {
-		_, err := core.RunExperiments(cfg, exps, 0,
-			core.SweepOptions{Workers: workers, Snapshot: true})
+		_, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: workers})
 		if err == nil {
 			t.Errorf("workers=%d: expected error from empty plan", workers)
 		}
@@ -139,9 +99,9 @@ func TestSweepSnapshotPropagatesError(t *testing.T) {
 }
 
 // TestSweepSnapshotExecutorParityEdges: degenerate inputs must render
-// identically on both executors — an empty experiment matrix (nothing
-// to intercept, so nothing to snapshot) and an experiment with no
-// faultload at all (runs uninstrumented, classifies not-triggered).
+// as the fresh-spawn reference does — an empty experiment matrix
+// (nothing to intercept, so a template without a stub library) and an
+// experiment with no faultload at all (classifies not-triggered).
 func TestSweepSnapshotExecutorParityEdges(t *testing.T) {
 	cfg, set := mixedTarget(t)
 	for name, exps := range map[string][]core.Experiment{
@@ -150,54 +110,60 @@ func TestSweepSnapshotExecutorParityEdges(t *testing.T) {
 			Library: libc.Name, Function: "read", Retval: -42,
 		}),
 		// Every experiment lacks a faultload: the union stub surface is
-		// empty, so the snapshot executor must fall back rather than
-		// fail stub synthesis.
+		// empty, so the template must be built without stubs rather
+		// than fail stub synthesis.
 		"all-nil-faultloads": {
 			{Library: libc.Name, Function: "read", Retval: -1},
 			{Library: libc.Name, Function: "open", Retval: -1},
 		},
 	} {
-		fresh, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2})
+		want := freshSweep(t, cfg, exps, core.SweepOptions{Workers: 2}).Render()
+		snap, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2})
 		if err != nil {
-			t.Fatalf("%s fresh: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		snap, err := core.RunExperiments(cfg, exps, 0,
-			core.SweepOptions{Workers: 2, Snapshot: true})
-		if err != nil {
-			t.Fatalf("%s snapshot: %v", name, err)
-		}
-		if fresh.Render() != snap.Render() {
-			t.Errorf("%s: executors disagree:\n--- fresh ---\n%s--- snapshot ---\n%s",
-				name, fresh.Render(), snap.Render())
+		if got := snap.Render(); got != want {
+			t.Errorf("%s: executor disagrees with the fresh-spawn reference:\n--- fresh ---\n%s--- snapshot ---\n%s",
+				name, want, got)
 		}
 	}
 }
 
 // TestSweepPruneUncalledIdentical: baseline-informed pruning must not
 // change the rendered report — it only skips runs the baseline proves
-// inert (here: the write experiments; mixedApp never calls write).
+// inert (here: the write experiment; mixedApp never calls write, so
+// the baseline's write stub counts no arrival).
 func TestSweepPruneUncalledIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Render()
+	want := freshSweep(t, cfg, core.PlanExperiments(set), core.SweepOptions{}).Render()
 	if !strings.Contains(want, "not-triggered") {
 		t.Fatalf("target has no prunable experiment:\n%s", want)
 	}
 	for _, opts := range []core.SweepOptions{
 		{Workers: 1, PruneUncalled: true},
 		{Workers: 4, PruneUncalled: true},
-		{Workers: 4, PruneUncalled: true, Snapshot: true},
+		{Workers: 4, PruneUncalled: true, NoMemo: true},
 	} {
+		var mu sync.Mutex
+		var pruned []string
+		opts.OnResult = func(exp *core.Experiment, _ core.SweepEntry, rep *core.Report) {
+			if rep == nil {
+				mu.Lock()
+				pruned = append(pruned, exp.Function)
+				mu.Unlock()
+			}
+		}
 		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, opts)
 		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			t.Fatalf("workers=%d: %v", opts.Workers, err)
 		}
 		if got := res.Render(); got != want {
-			t.Errorf("opts %+v: pruned report differs:\n--- unpruned ---\n%s--- pruned ---\n%s",
-				opts, want, got)
+			t.Errorf("workers=%d nomemo=%v: pruned report differs:\n--- unpruned ---\n%s--- pruned ---\n%s",
+				opts.Workers, opts.NoMemo, want, got)
+		}
+		if len(pruned) != 1 || pruned[0] != "write" {
+			t.Errorf("workers=%d nomemo=%v: pruned %v, want exactly the write experiment",
+				opts.Workers, opts.NoMemo, pruned)
 		}
 	}
 }
@@ -234,16 +200,16 @@ func TestSweepPruneSkipsWork(t *testing.T) {
 	// An experiment whose plan names a function the baseline never
 	// calls, with a faultload that would fail compilation only if the
 	// executor actually tried to build a campaign around it: a valid
-	// plan but an unregistered trigger function. The fresh executor
-	// happily runs it (not-triggered); the pruned executor must commit
-	// it without running. Equality of the two reports is the proof.
+	// plan but an unregistered trigger function. The unpruned sweep
+	// happily runs it (not-triggered); the pruned sweep must commit it
+	// without running. Equality of the two reports is the proof.
 	exps = append(exps, core.Experiment{
 		Library: libc.Name, Function: "write", Retval: -77,
 		Plan: &scenario.Plan{Triggers: []scenario.Trigger{{
 			Function: "write", Inject: 1, Retval: "-77", Once: true,
 		}}},
 	})
-	fresh, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2})
+	unpruned, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +218,8 @@ func TestSweepPruneSkipsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Render() != pruned.Render() {
-		t.Errorf("pruned report differs:\n%s\nvs\n%s", fresh.Render(), pruned.Render())
+	if unpruned.Render() != pruned.Render() {
+		t.Errorf("pruned report differs:\n%s\nvs\n%s", unpruned.Render(), pruned.Render())
 	}
 	last := pruned.Entries[len(pruned.Entries)-1]
 	if last.Outcome != core.OutcomeNotTriggered || last.Retval != -77 {

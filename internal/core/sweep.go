@@ -107,8 +107,8 @@ type SweepResult struct {
 	Executable string
 	Baseline   int32 // clean-run exit code
 	Entries    []SweepEntry
-	// Memo, when the sweep ran on the memoizing snapshot executor,
-	// carries its prefix-sharing statistics. Deliberately not part of
+	// Memo, when the sweep ran with prefix memoization, carries its
+	// prefix-sharing statistics. Deliberately not part of
 	// Render: the rendered report stays byte-identical to a
 	// non-memoized sweep's.
 	Memo *MemoStats
@@ -344,26 +344,6 @@ func checkBaseline(rep *Report, avail *AvailSpec) error {
 	return nil
 }
 
-// runBaseline executes the clean run that anchors outcome (and
-// availability) classification.
-func runBaseline(cfg CampaignConfig, budget uint64) (*Report, error) {
-	baseCfg := cfg
-	baseCfg.Plan = nil
-	baseCfg.Compiled = nil
-	baseline, err := NewCampaign(baseCfg)
-	if err != nil {
-		return nil, err
-	}
-	baseRep, err := baseline.Run(budget)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkBaseline(baseRep, cfg.Avail); err != nil {
-		return nil, err
-	}
-	return baseRep, nil
-}
-
 // entry seeds the report row for an experiment's coordinates.
 func (exp *Experiment) entry() SweepEntry {
 	return SweepEntry{
@@ -376,8 +356,8 @@ func (exp *Experiment) entry() SweepEntry {
 // the process-shaped Outcome against the baseline exit code and — when
 // the sweep runs under an availability spec — the service-level class
 // against the baseline's counters and cycle envelope. Every executor
-// path (fresh, snapshot, memo-restored, memo-terminal) funnels through
-// here, which is what keeps availability reports byte-identical across
+// path (full run, memo-restored, memo-terminal) funnels through here,
+// which is what keeps availability reports byte-identical across
 // engines and memo settings.
 func (e *SweepEntry) classify(rep *Report, base *Report, avail *AvailSpec) {
 	e.ExitCode = rep.Status.Code
@@ -390,45 +370,4 @@ func (e *SweepEntry) classify(rep *Report, base *Report, avail *AvailSpec) {
 	e.AvailBefore = rep.Avail.WarmOK
 	e.AvailDuring = rep.Avail.SteadyOK
 	e.AvailAfter = rep.Avail.PostOK
-}
-
-// runExperiment executes one experiment in a fresh Campaign (its own
-// vm.System, controller and evaluator) and classifies the reaction,
-// returning the full run report alongside the entry (for the OnResult
-// observers of persistent campaign stores). The compiled plan is
-// immutable and evaluator state is per-campaign, so the shared
-// CampaignConfig and Experiment are only ever read — this is what keeps
-// a many-worker sweep race-free.
-func runExperiment(cfg CampaignConfig, exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, error) {
-	entry := exp.entry()
-	runCfg := cfg
-	runCfg.Plan = exp.Plan
-	runCfg.Compiled = exp.Compiled
-	runCfg.PassThrough = false
-	c, err := NewCampaign(runCfg)
-	if err != nil {
-		return entry, nil, err
-	}
-	rep, err := c.Run(budget)
-	if err != nil {
-		return entry, nil, err
-	}
-	entry.classify(rep, base, cfg.Avail)
-	return entry, rep, nil
-}
-
-// Sweep runs one campaign per (function, error code) in the profile set —
-// the systematic fault-tolerance benchmark the paper's §2 envisions. Each
-// run injects exactly one fault on the function's first call and
-// classifies the program's reaction against a clean baseline.
-//
-// The cfg's Plan and PassThrough are ignored; everything else (programs,
-// executable, files, VM options) describes the target. budget bounds each
-// run's cycles (0 = DefaultSweepBudget).
-//
-// Sweep is the sequential reference executor; SweepParallel distributes
-// the same experiment matrix over a worker pool and renders the exact
-// same report.
-func Sweep(cfg CampaignConfig, set profile.Set, budget uint64) (*SweepResult, error) {
-	return RunExperiments(cfg, PlanExperiments(set), budget, SweepOptions{Workers: 1})
 }

@@ -6,8 +6,8 @@ package vm
 // one scheduler round at a time — asserting identical registers, flags,
 // PCs, per-process and total cycle counts, memory images, coverage bits,
 // exit statuses and host-call-boundary observations after every round.
-// A sweep-report-level differential (fresh-spawn and snapshot executors,
-// 1/4/8 workers) lives in internal/core.
+// A sweep-report-level differential (the sweep executor and the
+// fresh-spawn reference, 1/4/8 workers) lives in internal/core.
 
 import (
 	"bytes"

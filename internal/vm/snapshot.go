@@ -23,8 +23,7 @@
 // the restored process's first write to it, so a Restore costs O(pages)
 // slice headers up front and O(dirtied pages) over the run's lifetime —
 // not O(writable bytes), and far below O(program size + decode +
-// relocation). Options.FlatRestore disables the overlay and restores
-// full private copies (the -cow=false escape hatch).
+// relocation).
 //
 // A Snapshot is immutable and safe for concurrent
 // Restore from any number of goroutines; each restored System is as
@@ -104,7 +103,7 @@ type procSnap struct {
 
 type segSnap struct {
 	base     uint32
-	data     []byte // frozen template bytes; shared on restore iff !writable
+	data     []byte   // frozen template bytes; shared on restore iff !writable
 	pages    [][]byte // page views over data; CoW restores copy this table
 	writable bool
 	name     string
@@ -240,13 +239,10 @@ func (s *Snapshot) Restore() *System {
 		p.Images = copyImages(ps.images, s.opts.Coverage)
 		for j, sg := range ps.segs {
 			seg := &segment{base: sg.base, writable: sg.writable, name: sg.name}
-			switch {
-			case !sg.writable:
+			if !sg.writable {
 				// Read-only: share the template bytes outright.
 				seg.data = sg.data
-			case s.opts.FlatRestore:
-				seg.data = append([]byte(nil), sg.data...)
-			default:
+			} else {
 				// Copy-on-write: alias the snapshot's shared page views;
 				// the write barrier (Proc.privatize) copies a page on
 				// first write. "Reset to shared" on the next Restore is

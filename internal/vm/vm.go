@@ -213,7 +213,7 @@ type Proc struct {
 
 // segment is one mapping of a process address space. Exactly one of
 // two representations backs it: a flat data slice (fresh spawns,
-// read-only segments, flat restores), or a copy-on-write page table
+// read-only segments, materialized heaps), or a copy-on-write page table
 // (writable segments of a CoW restore — see cow.go). data is nil iff
 // cow is non-nil.
 type segment struct {
@@ -316,12 +316,6 @@ type Options struct {
 	// (default DefaultEngine). Both engines are decision-for-decision
 	// identical; see the package doc's determinism contract.
 	Engine string
-	// FlatRestore disables the page-granular copy-on-write restore:
-	// Snapshot.Restore deep-copies every writable byte per run (the
-	// pre-CoW behaviour, the `-cow=false` escape hatch). Execution is
-	// bit-identical either way; only the memory representation and the
-	// per-restore cost differ.
-	FlatRestore bool
 }
 
 // System owns the program registry, host functions, kernel and processes.

@@ -10,8 +10,7 @@
 #      known sites correctly.
 #   2. `lfi sweep -order=static` only reorders execution — the
 #      reassembled report is byte-identical to the default-order sweep
-#      across both engines, 1/4/8 workers, fresh/CoW/flat restores, and
-#      memoization on/off.
+#      across both engines, 1/4/8 workers, and memoization on/off.
 #
 #   ./scripts/auditcheck.sh
 set -eu
@@ -85,12 +84,12 @@ echo "ok: clean target audits clean"
 
 echo "== default-order reference sweep =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -j 1 >"$work/ref.txt"
+"$work/lfi" sweep $base -j 1 -memo=false >"$work/ref.txt"
 grep '^summary:' "$work/ref.txt"
 
 echo "== -order=static reports must match byte for byte =="
 for engine in block step; do
-	for mode in "" "-snapshot" "-snapshot -cow=false" "-snapshot -memo=false"; do
+	for mode in "" "-memo=false"; do
 		for j in 1 4 8; do
 			# shellcheck disable=SC2086
 			"$work/lfi" sweep $base -order=static -engine "$engine" -j "$j" $mode >"$work/got.txt" 2>/dev/null

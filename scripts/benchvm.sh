@@ -34,24 +34,10 @@ go test -run '^$' -bench BenchmarkVMExec -benchtime "$BENCHTIME" . |
 	}'
 
 echo
-echo "== BenchmarkRestoreCoW (per-experiment restore+run; cow vs flat) =="
-go test -run '^$' -bench BenchmarkRestoreCoW -benchtime "$BENCHTIME" . |
-	awk '/^BenchmarkRestoreCoW/ {
-		split($1, parts, "/");
-		mode = parts[2];
-		sub(/-[0-9]+$/, "", mode);
-		ns[mode] = $3;
-	}
-	END {
-		printf "%-14s %10s %10s %8s\n", "", "cow", "flat", "speedup";
-		printf "%-14s %8.0fns %8.0fns %7.2fx\n", "restore+run", ns["cow"], ns["flat"], ns["flat"] / ns["cow"];
-	}'
-
-echo
-echo "== End-to-end campaign (BenchmarkSweepSnapshot / BenchmarkSweepParallel) =="
+echo "== End-to-end campaign (BenchmarkSweepSequential / BenchmarkSweepSnapshot) =="
 for engine in step block; do
 	echo "-- engine=$engine"
 	LFI_ENGINE=$engine go test -run '^$' \
-		-bench 'BenchmarkSweepSnapshot|BenchmarkSweepParallel' \
+		-bench 'BenchmarkSweepSequential|BenchmarkSweepSnapshot' \
 		-benchtime "$BENCHTIME" . | grep '^Benchmark'
 done

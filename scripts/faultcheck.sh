@@ -5,12 +5,12 @@
 #
 # Builds the lfi CLI, generates the demo libc + a target that opens and
 # writes a file (so disk exhaustion and fd pressure actually bind), runs
-# a non-memoized snapshot degradation sweep as the reference report,
-# then sweeps the same matrix across both execution engines, 1/4/8
-# workers, fresh spawns, CoW and flat restores, and a starved
-# -memo-budget. Degradations mutate kernel state mid-run, so this is
-# the strongest determinism claim in the tree: armed quotas and shrunk
-# fd tables must restore bit-identically whichever executor ran them.
+# a single-worker non-memoized degradation sweep as the reference
+# report, then sweeps the same matrix across both execution engines,
+# 1/4/8 workers, memoized prefixes and a starved -memo-budget.
+# Degradations mutate kernel state mid-run, so this is the strongest
+# determinism claim in the tree: armed quotas and shrunk fd tables must
+# restore bit-identically whichever configuration ran them.
 #
 # Further legs: -faults all (errno + degradation concatenated),
 # -store/-resume bookkeeping of degradation records, and replay
@@ -51,9 +51,9 @@ EOF
 
 base="-app $work/app.slef -lib $work/libc.slef -profile $work/libc.so.profile.xml"
 
-echo "== non-memoized snapshot degradation sweep (reference) =="
+echo "== single-worker non-memoized degradation sweep (reference) =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults degradation -j 4 -snapshot -memo=false >"$work/ref.txt"
+"$work/lfi" sweep $base -faults degradation -j 1 -memo=false >"$work/ref.txt"
 grep '^summary:' "$work/ref.txt"
 for label in 'delay=' 'exhaust=disk:after=' 'exhaust=fds:slots='; do
 	if ! grep -q "$label" "$work/ref.txt"; then
@@ -64,28 +64,28 @@ done
 
 echo "== every executor configuration must match byte for byte =="
 for engine in block step; do
-	for mode in "" "-snapshot" "-snapshot -cow=false" "-snapshot -memo-budget 1"; do
+	for mode in "" "-memo-budget 1"; do
 		for j in 1 4 8; do
 			# shellcheck disable=SC2086
 			"$work/lfi" sweep $base -faults degradation -engine "$engine" -j "$j" $mode >"$work/got.txt" 2>/dev/null
 			if ! cmp -s "$work/ref.txt" "$work/got.txt"; then
-				echo "faultcheck: FAIL: report differs (engine=$engine j=$j mode='${mode:-fresh}')" >&2
+				echo "faultcheck: FAIL: report differs (engine=$engine j=$j mode='$mode')" >&2
 				diff "$work/ref.txt" "$work/got.txt" >&2 || true
 				exit 1
 			fi
-			echo "ok: engine=$engine j=$j mode='${mode:-fresh}'"
+			echo "ok: engine=$engine j=$j mode='$mode'"
 		done
 	done
 done
 
 echo "== -faults all is the errno matrix plus the degradation matrix =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults all -j 4 -snapshot >"$work/all-memo.txt" 2>/dev/null
+"$work/lfi" sweep $base -faults all -j 4 >"$work/all-memo.txt" 2>/dev/null
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults all -j 1 >"$work/all-fresh.txt"
-if ! cmp -s "$work/all-memo.txt" "$work/all-fresh.txt"; then
-	echo "faultcheck: FAIL: -faults all differs between memoized and fresh executors" >&2
-	diff "$work/all-memo.txt" "$work/all-fresh.txt" >&2 || true
+"$work/lfi" sweep $base -faults all -j 1 -memo=false >"$work/all-ref.txt"
+if ! cmp -s "$work/all-memo.txt" "$work/all-ref.txt"; then
+	echo "faultcheck: FAIL: -faults all differs between memoized and non-memoized sweeps" >&2
+	diff "$work/all-memo.txt" "$work/all-ref.txt" >&2 || true
 	exit 1
 fi
 if ! grep -q 'errno=' "$work/all-memo.txt" || ! grep -q 'exhaust=disk:after=' "$work/all-memo.txt"; then
@@ -96,9 +96,9 @@ echo "ok: -faults all"
 
 echo "== degradation records resume from a persistent store =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults degradation -j 2 -snapshot -store "$work/campaign" >/dev/null 2>&1
+"$work/lfi" sweep $base -faults degradation -j 2 -store "$work/campaign" >/dev/null 2>&1
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults degradation -j 8 -snapshot -store "$work/campaign" -resume >"$work/resumed.txt" 2>/dev/null
+"$work/lfi" sweep $base -faults degradation -j 8 -store "$work/campaign" -resume >"$work/resumed.txt" 2>/dev/null
 if ! cmp -s "$work/ref.txt" "$work/resumed.txt"; then
 	echo "faultcheck: FAIL: resumed degradation report differs from reference" >&2
 	diff "$work/ref.txt" "$work/resumed.txt" >&2 || true

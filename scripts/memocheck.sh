@@ -3,12 +3,12 @@
 # prefix memoization.
 #
 # Builds the lfi CLI, generates the demo libc + a small target, runs a
-# non-memoized snapshot sweep as the reference report, then sweeps the
-# same matrix with the prefix memo cache (the -snapshot default) across
-# both execution engines, 1/4/8 workers, CoW and flat restores, and a
-# starved -memo-budget that forces evictions. Every report must be
-# byte-identical: memoization shares the pre-fault prefix across
-# experiments, it never changes what any experiment observes.
+# single-worker non-memoized sweep as the reference report, then sweeps
+# the same matrix with the prefix memo cache (the default) across both
+# execution engines, 1/4/8 workers, and a starved -memo-budget that
+# forces evictions. Every report must be byte-identical: memoization
+# shares the pre-fault prefix across experiments, it never changes what
+# any experiment observes.
 #
 # A second leg replays the -max-crashes and -store/-resume flows under
 # memoization against their non-memoized counterparts — truncation and
@@ -47,14 +47,14 @@ EOF
 
 base="-app $work/app.slef -lib $work/libc.slef -profile $work/libc.so.profile.xml"
 
-echo "== non-memoized snapshot sweep (reference) =="
+echo "== single-worker non-memoized sweep (reference) =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -j 4 -snapshot -memo=false >"$work/ref.txt"
+"$work/lfi" sweep $base -j 1 -memo=false >"$work/ref.txt"
 grep '^summary:' "$work/ref.txt"
 
 echo "== memoized sweeps must match byte for byte =="
 for engine in block step; do
-	for mode in "-snapshot" "-snapshot -cow=false" "-snapshot -memo-budget 1"; do
+	for mode in "" "-memo-budget 1"; do
 		for j in 1 4 8; do
 			# shellcheck disable=SC2086
 			"$work/lfi" sweep $base -engine "$engine" -j "$j" $mode >"$work/got.txt" 2>"$work/stats.txt"
@@ -74,9 +74,9 @@ done
 
 echo "== -max-crashes truncation must agree with the non-memoized sweep =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -j 1 -snapshot -memo=false -max-crashes 1 >"$work/crash-ref.txt"
+"$work/lfi" sweep $base -j 1 -memo=false -max-crashes 1 >"$work/crash-ref.txt"
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -j 1 -snapshot -max-crashes 1 >"$work/crash-memo.txt" 2>/dev/null
+"$work/lfi" sweep $base -j 1 -max-crashes 1 >"$work/crash-memo.txt" 2>/dev/null
 if ! cmp -s "$work/crash-ref.txt" "$work/crash-memo.txt"; then
 	echo "memocheck: FAIL: -max-crashes reports differ" >&2
 	diff "$work/crash-ref.txt" "$work/crash-memo.txt" >&2 || true
@@ -86,9 +86,9 @@ echo "ok: -max-crashes 1"
 
 echo "== resume from a half-completed store, memoized =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -j 2 -snapshot -max-crashes 1 -store "$work/campaign" >/dev/null 2>&1
+"$work/lfi" sweep $base -j 2 -max-crashes 1 -store "$work/campaign" >/dev/null 2>&1
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -j 4 -snapshot -store "$work/campaign" -resume >"$work/resumed.txt" 2>/dev/null
+"$work/lfi" sweep $base -j 4 -store "$work/campaign" -resume >"$work/resumed.txt" 2>/dev/null
 if ! cmp -s "$work/ref.txt" "$work/resumed.txt"; then
 	echo "memocheck: FAIL: memoized resumed report differs from reference" >&2
 	diff "$work/ref.txt" "$work/resumed.txt" >&2 || true
